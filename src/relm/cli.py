@@ -13,15 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .corpus import (
     CssConfig,
     DatasetError,
+    DimMismatch,
     EmptyCorpus,
     FingerprintMismatch,
+    NotEnoughCandidates,
+    ProductCorpus,
+    ReactionRecord,
     corpus_from_records,
     load_dataset,
     load_index,
@@ -30,7 +34,11 @@ from .corpus import (
 )
 from .encoder import (
     EncoderConfig,
+    FormatError,
+    GnnWeights,
     NonFiniteLoss,
+    ShapeError,
+    ShapeMismatch,
     TrainingHyper,
     load_weights,
     save_weights,
@@ -57,45 +65,19 @@ from .lmclient import (
     run_dataset,
 )
 from .molgraph import FeatureConfig, SmilesError
-from .prompt import MoleculeRendering, PromptConfig, Strategy, TemplateSet
+from .prompt import (
+    MoleculeRendering,
+    PromptConfig,
+    SchemaConflict,
+    Strategy,
+    StrategyKind,
+    TemplateError,
+    TemplateSet,
+)
 
 
 class ConfigError(ValueError):
     """A problem in the run configuration file or its overrides."""
-
-
-_TOP_KEYS = {
-    "weights",
-    "index",
-    "dataset",
-    "templates",
-    "iupac",
-    "k",
-    "n",
-    "strategy",
-    "include_condition",
-    "include_reaction_type",
-    "molecule_rendering",
-    "shuffle_candidates",
-    "css",
-    "backend",
-    "seed",
-    "max_concurrency",
-}
-
-_CSS_KEYS = {"high_set", "low_set", "num_perturbed"}
-
-_BACKEND_KEYS = {
-    "kind",
-    "endpoint",
-    "model",
-    "temperature",
-    "timeout_ms",
-    "max_retries",
-    "api_key_env",
-    "mock_script",
-    "backoff_base_s",
-}
 
 
 @dataclass
@@ -126,6 +108,13 @@ class RunConfig:
             raise ConfigError("max_concurrency must be >= 1")
 
     def prompt_config(self) -> PromptConfig:
+        css_kinds = (StrategyKind.CSS, StrategyKind.FINE_GRAINED_CSS)
+        if self.strategy.effective_kind in css_kinds and (
+            self.n < 2 or self.css.num_perturbed > self.n
+        ):
+            raise ConfigError(
+                f"{self.strategy.label} needs n >= 2 and css num_perturbed <= n"
+            )
         shuffle_seed = (
             derive_seed(self.seed, "shuffle") if self.shuffle_candidates else None
         )
@@ -139,6 +128,14 @@ class RunConfig:
             css=self.css,
             shuffle_candidates_seed=shuffle_seed,
         )
+
+
+_TOP_KEYS = {f.name for f in fields(RunConfig)}
+# the perturbation seed is derived per query, never configured
+_CSS_KEYS = {f.name for f in fields(CssConfig)} - {"seed"}
+_BACKEND_KEYS = {f.name for f in fields(BackendConfig)}
+_PATH_KEYS = ("weights", "index", "dataset", "templates", "iupac")
+_BOOL_KEYS = ("include_condition", "include_reaction_type", "shuffle_candidates")
 
 
 def _check_exists(label: str, path: Path | None) -> None:
@@ -174,92 +171,72 @@ def load_run_config(
         if value is not None:
             data[key] = value
 
-    css_raw = data.get("css", {})
-    if not isinstance(css_raw, dict):
-        raise ConfigError("css must be a JSON object")
-    unknown = set(css_raw) - _CSS_KEYS
-    if unknown:
-        raise ConfigError(f"unknown css keys {sorted(unknown)}")
+    # only keys present in the file reach the dataclasses, so their own
+    # defaults apply to the rest
+    values = dict(data)
     try:
-        css = CssConfig(
-            high_set=tuple(css_raw.get("high_set", (8, 9))),
-            low_set=tuple(css_raw.get("low_set", (1, 2))),
-            num_perturbed=css_raw.get("num_perturbed", 1),
-        )
+        values["css"] = CssConfig(**_section(data, "css", _CSS_KEYS))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"css settings: {exc}")
 
-    backend_raw = data.get("backend", {})
-    if not isinstance(backend_raw, dict):
-        raise ConfigError("backend must be a JSON object")
-    unknown = set(backend_raw) - _BACKEND_KEYS
-    if unknown:
-        raise ConfigError(f"unknown backend keys {sorted(unknown)}")
-    script_path = backend_raw.get("mock_script")
-    mock_script = ()
+    backend_raw = _section(data, "backend", _BACKEND_KEYS)
+    script_path = backend_raw.pop("mock_script", None)
     if script_path is not None:
         _check_exists("mock script", Path(script_path))
-        mock_script = load_mock_script(script_path)
+    # a run defaults to the oracle backend, a bare BackendConfig to mock
+    kind = backend_raw.get("kind", RunConfig.backend.kind.value)
     try:
-        kind = BackendKind(backend_raw.get("kind", "oracle"))
+        backend_raw["kind"] = BackendKind(kind)
     except ValueError:
         raise ConfigError(
-            f"unknown backend kind {backend_raw.get('kind')!r}; "
+            f"unknown backend kind {kind!r}; "
             f"valid: {sorted(k.value for k in BackendKind)}"
         )
     try:
-        backend = BackendConfig(
-            kind=kind,
-            endpoint=backend_raw.get("endpoint", ""),
-            model=backend_raw.get("model", ""),
-            temperature=backend_raw.get("temperature", 0.0),
-            timeout_ms=backend_raw.get("timeout_ms", 30000),
-            max_retries=backend_raw.get("max_retries", 3),
-            api_key_env=backend_raw.get("api_key_env", "RELM_API_KEY"),
-            mock_script=mock_script,
-            backoff_base_s=backend_raw.get("backoff_base_s", 1.0),
-        )
+        if script_path is not None:
+            backend_raw["mock_script"] = load_mock_script(script_path)
+        values["backend"] = BackendConfig(**backend_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"backend settings: {exc}")
 
-    try:
-        strategy = Strategy.parse(data.get("strategy", "plain"))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    try:
-        rendering = MoleculeRendering(data.get("molecule_rendering", "smiles_only"))
-    except ValueError:
-        raise ConfigError(
-            f"unknown molecule_rendering {data.get('molecule_rendering')!r}; "
-            f"valid: {sorted(m.value for m in MoleculeRendering)}"
-        )
+    if "strategy" in values:
+        try:
+            values["strategy"] = Strategy.parse(values["strategy"])
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+    if "molecule_rendering" in values:
+        try:
+            values["molecule_rendering"] = MoleculeRendering(
+                values["molecule_rendering"]
+            )
+        except ValueError:
+            raise ConfigError(
+                f"unknown molecule_rendering {values['molecule_rendering']!r}; "
+                f"valid: {sorted(m.value for m in MoleculeRendering)}"
+            )
+    for key in _PATH_KEYS:
+        if values.get(key) is not None:
+            values[key] = Path(values[key])
+    for key in _BOOL_KEYS:
+        if key in values:
+            values[key] = bool(values[key])
 
-    def _path(key: str) -> Path | None:
-        value = data.get(key)
-        return Path(value) if value is not None else None
-
-    cfg = RunConfig(
-        weights=_path("weights"),
-        index=_path("index"),
-        dataset=_path("dataset"),
-        templates=_path("templates"),
-        iupac=_path("iupac"),
-        k=data.get("k", 4),
-        n=data.get("n", 3),
-        strategy=strategy,
-        include_condition=bool(data.get("include_condition", False)),
-        include_reaction_type=bool(data.get("include_reaction_type", False)),
-        molecule_rendering=rendering,
-        shuffle_candidates=bool(data.get("shuffle_candidates", False)),
-        css=css,
-        backend=backend,
-        seed=data.get("seed", 0),
-        max_concurrency=data.get("max_concurrency", 4),
-    )
-    for label in ("weights", "index", "dataset", "templates", "iupac"):
+    cfg = RunConfig(**values)
+    for label in _PATH_KEYS:
         if label not in skip_exists:
             _check_exists(label, getattr(cfg, label))
     return cfg
+
+
+def _section(data: dict, name: str, allowed: set[str]) -> dict:
+    """A nested config object, checked for unknown keys."""
+    raw = data.get(name, {})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(raw) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {sorted(unknown)}")
+    return dict(raw)
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -268,10 +245,6 @@ def _require(cfg: RunConfig, *names: str) -> None:
         raise ConfigError(
             f"this command needs config paths: {', '.join(missing)}"
         )
-
-
-def _load_templates(cfg: RunConfig) -> TemplateSet | None:
-    return TemplateSet.load(cfg.templates) if cfg.templates is not None else None
 
 
 def _load_iupac(cfg: RunConfig) -> dict[str, str] | None:
@@ -288,24 +261,41 @@ def _load_iupac(cfg: RunConfig) -> dict[str, str] | None:
     return table
 
 
-def _build_pipeline(cfg: RunConfig) -> tuple[Pipeline, list, object, object]:
-    _require(cfg, "weights", "index", "dataset")
-    weights = load_weights(cfg.weights)
-    corpus = load_index(cfg.index)
-    train = load_dataset(cfg.dataset)
-    feature_cfg = FeatureConfig()
-    pipeline = Pipeline(
-        corpus,
-        train,
-        weights,
-        feature_cfg,
-        cfg.prompt_config(),
-        cfg.backend,
-        iupac_table=_load_iupac(cfg),
-        templates=_load_templates(cfg),
-        seed=cfg.seed,
-    )
-    return pipeline, train, corpus, weights
+@dataclass(frozen=True)
+class _Inputs:
+    """The weights, index, training set and evaluation set of one command."""
+
+    weights: GnnWeights
+    corpus: ProductCorpus
+    train: list[ReactionRecord]
+    records: list[ReactionRecord]
+
+    @classmethod
+    def load(cls, cfg: RunConfig, eval_dataset: str | None = None) -> _Inputs:
+        """Read the files; the evaluation set defaults to the training set."""
+        _require(cfg, "weights", "index", "dataset")
+        weights = load_weights(cfg.weights)
+        corpus = load_index(cfg.index)
+        train = load_dataset(cfg.dataset)
+        records = load_dataset(eval_dataset) if eval_dataset else train
+        return cls(weights, corpus, train, records)
+
+    def pipelines(self, cfg: RunConfig, ks: Sequence[int]) -> Iterator[Pipeline]:
+        """One pipeline per K; the IUPAC table and templates are read once."""
+        iupac_table = _load_iupac(cfg)
+        templates = TemplateSet.load(cfg.templates) if cfg.templates else None
+        for k in ks:
+            yield Pipeline(
+                self.corpus,
+                self.train,
+                self.weights,
+                FeatureConfig(),
+                replace(cfg, k=k).prompt_config(),
+                cfg.backend,
+                iupac_table=iupac_table,
+                templates=templates,
+                seed=cfg.seed,
+            )
 
 
 # ---- commands ----
@@ -326,12 +316,20 @@ def cmd_build_index(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    """predict; inspect-prompt is its dry run plus a summary on stderr."""
     cfg = load_run_config(args.config, _overrides(args))
-    pipeline, _, _, _ = _build_pipeline(cfg)
+    (pipeline,) = _Inputs.load(cfg).pipelines(cfg, [cfg.k])
     record = load_record(args.reaction)
     if args.dry_run:
         prompt = pipeline.render_prompt(record)
         print(prompt.text)
+        if args.command == "inspect-prompt":
+            print(
+                f"--- schema={prompt.answer_schema.value} "
+                f"letters={','.join(prompt.letters)} "
+                f"tokens~{estimate_tokens(prompt)}",
+                file=sys.stderr,
+            )
         return 0
     result = pipeline.predict(record)
     payload = {
@@ -369,15 +367,10 @@ def _parse_k_spec(spec: str) -> list[int]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     # --k may be a sweep spec like "2..7"; it never overrides config k
     cfg = load_run_config(args.config, {**_overrides(args), "k": None})
-    _require(cfg, "weights", "index", "dataset")
-    weights = load_weights(cfg.weights)
-    corpus = load_index(cfg.index)
-    train = load_dataset(cfg.dataset)
-    eval_path = args.eval_dataset if args.eval_dataset else cfg.dataset
-    records = load_dataset(eval_path)
+    inputs = _Inputs.load(cfg, args.eval_dataset)
 
-    keys = corpus.key_set()
-    missing = [r.id for r in records if r.product_key() not in keys]
+    keys = inputs.corpus.key_set()
+    missing = [r.id for r in inputs.records if r.product_key() not in keys]
     if missing:
         raise MissingGroundTruth(
             f"ground truth absent from the corpus for: {missing}", missing
@@ -389,27 +382,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --k value: {exc}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    feature_cfg = FeatureConfig()
-    for k in ks:
-        run_cfg = replace(cfg, k=k)
-        pipeline = Pipeline(
-            corpus,
-            train,
-            weights,
-            feature_cfg,
-            run_cfg.prompt_config(),
-            cfg.backend,
-            iupac_table=_load_iupac(cfg),
-            templates=_load_templates(cfg),
-            seed=cfg.seed,
-        )
-        results = run_dataset(pipeline, records, cfg.max_concurrency)
+    for k, pipeline in zip(ks, inputs.pipelines(cfg, ks)):
+        results = run_dataset(pipeline, inputs.records, cfg.max_concurrency)
         report = build_report(
             results,
-            records,
-            corpus,
-            weights,
-            feature_cfg,
+            inputs.records,
+            inputs.corpus,
+            inputs.weights,
+            pipeline.feature_cfg,
             k,
             config={
                 "strategy": cfg.strategy.label,
@@ -431,20 +411,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_compare_strategies(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, _overrides(args))
-    _require(cfg, "weights", "index", "dataset")
-    weights = load_weights(cfg.weights)
-    corpus = load_index(cfg.index)
-    train = load_dataset(cfg.dataset)
-    eval_path = args.eval_dataset if args.eval_dataset else cfg.dataset
-    records = load_dataset(eval_path)
-    strategies = [Strategy.parse(s) for s in args.strategies.split(",") if s.strip()]
+    inputs = _Inputs.load(cfg, args.eval_dataset)
+    try:
+        strategies = [
+            Strategy.parse(s) for s in args.strategies.split(",") if s.strip()
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"bad --strategies value: {exc}")
     if not strategies:
         raise ConfigError("no strategies given")
     rows = compare_strategies(
-        records,
-        train,
-        corpus,
-        weights,
+        inputs.records,
+        inputs.train,
+        inputs.corpus,
+        inputs.weights,
         FeatureConfig(),
         cfg.prompt_config(),
         cfg.backend,
@@ -469,16 +449,21 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     )
     _require(cfg, "dataset")
     records = load_dataset(cfg.dataset)
+    if len(records) < 2:
+        raise DatasetError(f"{cfg.dataset}: training needs at least two reactions")
     feature_cfg = FeatureConfig()
-    encoder_cfg = EncoderConfig(
-        feature_dim=feature_cfg.feature_dim, embed_dim=args.embed_dim
-    )
-    hyper = TrainingHyper(
-        margin=args.margin,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        seed=cfg.seed,
-    )
+    try:
+        encoder_cfg = EncoderConfig(
+            feature_dim=feature_cfg.feature_dim, embed_dim=args.embed_dim
+        )
+        hyper = TrainingHyper(
+            margin=args.margin,
+            learning_rate=args.learning_rate,
+            epochs=args.epochs,
+            seed=cfg.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"training settings: {exc}")
     pairs = [(r.reactants, r.products) for r in records]
     try:
         result = train_contrastive(pairs, encoder_cfg, feature_cfg, hyper)
@@ -502,38 +487,12 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_inspect_prompt(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
-    pipeline, _, _, _ = _build_pipeline(cfg)
-    record = load_record(args.reaction)
-    prompt = pipeline.render_prompt(record)
-    print(prompt.text)
-    print(
-        f"--- schema={prompt.answer_schema.value} "
-        f"letters={','.join(prompt.letters)} "
-        f"tokens~{estimate_tokens(prompt)}",
-        file=sys.stderr,
-    )
-    return 0
-
-
 # ---- argument plumbing ----
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    keys = (
-        "weights",
-        "index",
-        "dataset",
-        "templates",
-        "iupac",
-        "k",
-        "n",
-        "strategy",
-        "seed",
-        "max_concurrency",
-    )
-    return {key: getattr(args, key, None) for key in keys}
+    """A flag overrides the config key of the same name."""
+    return {key: getattr(args, key, None) for key in _TOP_KEYS}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -601,11 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--k", type=int, help="candidate count (overrides config)")
     p.add_argument("--reaction", required=True, help="single reaction JSON file")
-    p.set_defaults(func=cmd_inspect_prompt)
+    p.set_defaults(func=cmd_predict, dry_run=True)
 
     return parser
 
 
+# input errors exit 2; a bare ValueError is a bug in the program and exits 1
 _USER_ERRORS = (
     ConfigError,
     DatasetError,
@@ -615,7 +575,13 @@ _USER_ERRORS = (
     AuthFailure,
     FingerprintMismatch,
     FileNotFoundError,
-    ValueError,
+    FormatError,
+    ShapeError,
+    ShapeMismatch,
+    DimMismatch,
+    TemplateError,
+    SchemaConflict,
+    NotEnoughCandidates,
 )
 
 

@@ -199,14 +199,6 @@ def save_dataset(records: Sequence[ReactionRecord], path: str | Path) -> None:
 # ---- embeddings and the corpus ----
 
 
-def distance(a: Embedding, b: Embedding) -> float:
-    """Euclidean distance between two embeddings."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"embedding dims differ: {a.dim} vs {b.dim}")
-    diff = a.values - b.values
-    return float(np.sqrt(np.dot(diff, diff)))
-
-
 def cosine(a: Embedding, b: Embedding) -> float:
     if a.dim != b.dim:
         raise DimMismatch(f"embedding dims differ: {a.dim} vs {b.dim}")

@@ -85,13 +85,10 @@ def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def tag_layer(
-    x: np.ndarray,
-    a: np.ndarray,
-    layer_weights: list[np.ndarray],
-    activation: str = "identity",
-) -> np.ndarray:
-    """One layer: activation(sum_k A^k x W_k), k = 0..len(layer_weights)-1."""
+def _layer_preactivation(
+    x: np.ndarray, a: np.ndarray, layer_weights: list[np.ndarray]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """(A^k x for each hop k, z = sum_k A^k x W_k); training keeps both."""
     if x.ndim != 2 or a.shape != (x.shape[0], x.shape[0]):
         raise ShapeMismatch(
             f"features {x.shape} and adjacency {a.shape} are inconsistent"
@@ -103,12 +100,23 @@ def tag_layer(
             raise ShapeMismatch(
                 f"hop-{k} weight has shape {w.shape}, expected {(in_dim, out_dim)}"
             )
-    propagated = x
-    total = propagated @ layer_weights[0]
+    propagated = [x]
+    z = x @ layer_weights[0]
     for w in layer_weights[1:]:
-        propagated = a @ propagated
-        total = total + propagated @ w
-    return _apply_activation(total, activation)
+        propagated.append(a @ propagated[-1])
+        z = z + propagated[-1] @ w
+    return propagated, z
+
+
+def tag_layer(
+    x: np.ndarray,
+    a: np.ndarray,
+    layer_weights: list[np.ndarray],
+    activation: str = "identity",
+) -> np.ndarray:
+    """One layer: activation(sum_k A^k x W_k), k = 0..len(layer_weights)-1."""
+    _, z = _layer_preactivation(x, a, layer_weights)
+    return _apply_activation(z, activation)
 
 
 def node_states(

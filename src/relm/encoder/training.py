@@ -21,7 +21,12 @@ from typing import Sequence
 import numpy as np
 
 from ..molgraph import FeatureConfig, graph_features, parse_smiles
-from .model import EncoderConfig, ShapeMismatch, _apply_activation
+from .model import (
+    EncoderConfig,
+    ShapeMismatch,
+    _apply_activation,
+    _layer_preactivation,
+)
 from .weights import GnnWeights, random_init
 
 
@@ -93,17 +98,11 @@ def _forward_molecule(
     x: np.ndarray, a: np.ndarray, weights: GnnWeights
 ) -> tuple[np.ndarray, list[dict]]:
     """Returns (pooled embedding, per-layer caches for backprop)."""
-    cfg = weights.config
     h = x
     caches = []
     for layer, hops in enumerate(weights.layers):
-        propagated = [h]
-        for _ in range(cfg.hops_per_layer):
-            propagated.append(a @ propagated[-1])
-        z = propagated[0] @ hops[0]
-        for k in range(1, len(hops)):
-            z = z + propagated[k] @ hops[k]
-        activation = cfg.layer_activation(layer)
+        propagated, z = _layer_preactivation(h, a, hops)
+        activation = weights.config.layer_activation(layer)
         h = _apply_activation(z, activation)
         caches.append({"propagated": propagated, "z": z, "activation": activation})
     return h.sum(axis=0), caches

@@ -609,8 +609,10 @@ class Pipeline:
             examples = perturb_context(examples, per_query)
         return examples
 
-    def render_prompt(self, query: ReactionRecord) -> RenderedPrompt:
-        """Everything predict() does short of calling the backend."""
+    def _prepare(
+        self, query: ReactionRecord
+    ) -> tuple[CandidateList, RenderedPrompt, list[InContextExample]]:
+        """Retrieve, build the context and render: predict() minus the backend."""
         candidates = top_k_candidates(
             query.reactant_graphs(),
             self.corpus,
@@ -619,7 +621,7 @@ class Pipeline:
             self.feature_cfg,
         )
         context = self._build_context(query)
-        return render(
+        prompt = render(
             query,
             candidates,
             context,
@@ -627,6 +629,11 @@ class Pipeline:
             iupac_table=self._merged_iupac(query),
             templates=self.templates,
         )
+        return candidates, prompt, context
+
+    def render_prompt(self, query: ReactionRecord) -> RenderedPrompt:
+        """Everything predict() does short of calling the backend."""
+        return self._prepare(query)[1]
 
     def _merged_iupac(self, query: ReactionRecord) -> dict[str, str] | None:
         if not self.iupac_table and not query.iupac:
@@ -636,25 +643,8 @@ class Pipeline:
         return merged
 
     def predict(self, query: ReactionRecord) -> PredictionResult:
-        cfg = self.prompt_cfg
-        candidates = top_k_candidates(
-            query.reactant_graphs(),
-            self.corpus,
-            cfg.k,
-            self.weights,
-            self.feature_cfg,
-        )
-        context = self._build_context(query)
-        prompt = render(
-            query,
-            candidates,
-            context,
-            cfg,
-            iupac_table=self._merged_iupac(query),
-            templates=self.templates,
-        )
-
-        runs = cfg.strategy.runs
+        candidates, prompt, context = self._prepare(query)
+        runs = self.prompt_cfg.strategy.runs
         k_shown = len(prompt.letters)
         parses: list[ParsedAnswer] = []
         total_latency = 0

@@ -1,6 +1,6 @@
 """Molecular graphs: SMILES reading and writing, structural keys, features."""
 
-from .canonical import REFINEMENT_ROUNDS, canonical_key, product_set_key
+from .canonical import REFINEMENT_ROUNDS, canonical_key
 from .features import FeatureConfig, graph_features
 from .parser import parse_smiles
 from .types import (
@@ -45,6 +45,5 @@ __all__ = [
     "canonical_key",
     "graph_features",
     "parse_smiles",
-    "product_set_key",
     "serialize",
 ]

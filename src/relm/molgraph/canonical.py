@@ -4,9 +4,10 @@ Each atom starts from a label built out of its local attributes; four
 refinement rounds then fold in the sorted multiset of (bond order,
 neighbor label) pairs.  The graph key hashes the sorted final labels, so
 any atom permutation of the same graph produces the same key.  Keys are
-equal for isomorphic graphs; distinct non-isomorphic graphs collide only
-if the refinement cannot separate them, which does not occur for
-molecule-sized graphs in practice.
+equal for isomorphic graphs, but this is 1-WL colour refinement, so
+non-isomorphic graphs that it cannot separate share a key.  Decalin
+``C1CCC2CCCCC2C1`` and bicyclopentyl ``C1CCC(C1)C1CCCC1`` are one such
+pair: no number of rounds tells them apart, and they get the same key.
 """
 
 from __future__ import annotations
@@ -48,8 +49,3 @@ def canonical_key(graph: MolecularGraph, rounds: int = REFINEMENT_ROUNDS) -> str
         ]
     summary = "|".join(sorted(labels))
     return _digest(f"{graph.num_atoms}|{graph.num_bonds}|{summary}")
-
-
-def product_set_key(graphs: list[MolecularGraph]) -> tuple[str, ...]:
-    """Sorted multiset of per-molecule keys; identifies a set of molecules."""
-    return tuple(sorted(canonical_key(g) for g in graphs))

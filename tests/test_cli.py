@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import relm.cli
 from relm.cli import main
 from relm.corpus import corpus_from_records, save_dataset, save_index
 from relm.encoder import EncoderConfig, random_init, save_weights
@@ -192,6 +193,19 @@ def test_inspect_prompt_renders_without_backend(workspace, capsys):
     assert "letters=A,B,C,D" in captured.err
 
 
+def test_inspect_prompt_prints_the_predict_dry_run(workspace, capsys):
+    ws, _, _ = workspace
+    args = ["--config", str(ws / "config.json"), "--reaction", str(ws / "query.json")]
+    assert main(["predict", *args, "--dry-run"]) == 0
+    dry_run = capsys.readouterr()
+    assert main(["inspect-prompt", *args]) == 0
+    inspected = capsys.readouterr()
+    assert inspected.out == dry_run.out
+    assert dry_run.err == ""
+    assert inspected.err.startswith("--- schema=letter_plus_confidence letters=")
+    assert "tokens~" in inspected.err
+
+
 # ---- exit codes ----
 
 
@@ -218,6 +232,8 @@ def test_missing_config_file_exits_2(workspace, tmp_path, capsys):
         ({"backend": {"kind": "oracle", "shade": 1}}, "shade"),
         ({"strategy": "bogus"}, "bogus"),
         ({"backend": {"kind": "nosuch"}}, "nosuch"),
+        ({"n": 1}, "needs n >= 2"),
+        ({"css": {"num_perturbed": 4}}, "needs n >= 2"),
     ],
 )
 def test_bad_config_exits_2(workspace, tmp_path, capsys, edits, fragment):
@@ -273,6 +289,108 @@ def test_backend_failure_exits_1(workspace, tmp_path, capsys):
     )
     assert code == 1
     assert "backend failure" in capsys.readouterr().err
+
+
+def test_internal_value_error_exits_1(workspace, capsys, monkeypatch):
+    ws, _, _ = workspace
+
+    def broken(path):
+        raise ValueError("an internal bug")
+
+    monkeypatch.setattr(relm.cli, "load_record", broken)
+    code = main(
+        [
+            "predict",
+            "--config",
+            str(ws / "config.json"),
+            "--reaction",
+            str(ws / "query.json"),
+        ]
+    )
+    assert code == 1
+    assert "internal error: ValueError: an internal bug" in capsys.readouterr().err
+
+
+def test_bad_strategies_value_exits_2(workspace, tmp_path, capsys):
+    ws, _, _ = workspace
+    code = main(
+        [
+            "compare-strategies",
+            "--config",
+            str(ws / "config.json"),
+            "--strategies",
+            "plain,no_such_strategy",
+            "--out",
+            str(tmp_path / "rows.csv"),
+        ]
+    )
+    assert code == 2
+    assert "no_such_strategy" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "not json",
+        '{"match": "*"}',
+        '[{"match": "*"}]',
+        '[{"match": "*", "response": "A", "extra": 1}]',
+    ],
+)
+def test_malformed_mock_script_exits_2(workspace, tmp_path, capsys, script):
+    ws, base, _ = workspace
+    (tmp_path / "script.json").write_text(script)
+    cfg_path = write_config(
+        tmp_path / "cfg.json",
+        base,
+        backend={"kind": "mock", "mock_script": str(tmp_path / "script.json")},
+    )
+    code = main(
+        ["predict", "--config", cfg_path, "--reaction", str(ws / "query.json")]
+    )
+    assert code == 2
+    assert "script.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--epochs", "-1"], ["--learning-rate", "0"], ["--embed-dim", "0"]]
+)
+def test_bad_training_settings_exit_2(workspace, tmp_path, capsys, flags):
+    ws, _, _ = workspace
+    code = main(
+        [
+            "train-toy",
+            "--config",
+            str(ws / "config.json"),
+            *flags,
+            "--out-weights",
+            str(tmp_path / "w.json"),
+            "--out-trace",
+            str(tmp_path / "trace.csv"),
+        ]
+    )
+    assert code == 2
+    assert "training settings" in capsys.readouterr().err
+
+
+def test_train_toy_on_one_reaction_exits_2(workspace, tmp_path, capsys):
+    ws, _, _ = workspace
+    first = (ws / "train.jsonl").read_text().splitlines()[0]
+    (tmp_path / "one.jsonl").write_text(first + "\n")
+    code = main(
+        [
+            "train-toy",
+            "--dataset",
+            str(tmp_path / "one.jsonl"),
+            "--out-weights",
+            str(tmp_path / "w.json"),
+            "--out-trace",
+            str(tmp_path / "trace.csv"),
+        ]
+    )
+    assert code == 2
+    assert "at least two reactions" in capsys.readouterr().err
 
 
 def test_evaluate_missing_truth_fails_before_backend(workspace, tmp_path, capsys):

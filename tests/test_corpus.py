@@ -20,7 +20,6 @@ from relm.corpus import (
     check_fingerprint,
     corpus_from_records,
     cosine,
-    distance,
     load_dataset,
     load_index,
     save_dataset,
@@ -54,22 +53,8 @@ def zero_weights(embed_dim=4):
 # ---- metrics ----
 
 
-def test_distance_matches_sequential_reference():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = Embedding(rng.normal(size=6))
-        b = Embedding(rng.normal(size=6))
-        assert distance(a, b) == pytest.approx(
-            reference_distance(a.values, b.values), rel=1e-12
-        )
-        assert distance(a, b) == distance(b, a)
-    assert distance(Embedding(np.zeros(3)), Embedding(np.zeros(3))) == 0.0
-
-
-def test_distance_and_cosine_reject_dim_mismatch():
+def test_cosine_rejects_dim_mismatch():
     a, b = Embedding(np.ones(3)), Embedding(np.ones(4))
-    with pytest.raises(DimMismatch):
-        distance(a, b)
     with pytest.raises(DimMismatch):
         cosine(a, b)
 

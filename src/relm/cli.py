@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, get_type_hints
 
 from .corpus import (
     CssConfig,
@@ -23,6 +23,7 @@ from .corpus import (
     DimMismatch,
     EmptyCorpus,
     FingerprintMismatch,
+    GroundTruthNotInTopK,
     NotEnoughCandidates,
     ProductCorpus,
     ReactionRecord,
@@ -47,6 +48,7 @@ from .encoder import (
 from .evaluation import (
     MissingGroundTruth,
     build_report,
+    check_ground_truth,
     compare_strategies,
     hit_at_k,
     write_outcomes_csv,
@@ -70,7 +72,6 @@ from .prompt import (
     PromptConfig,
     SchemaConflict,
     Strategy,
-    StrategyKind,
     TemplateError,
     TemplateSet,
 )
@@ -108,8 +109,7 @@ class RunConfig:
             raise ConfigError("max_concurrency must be >= 1")
 
     def prompt_config(self) -> PromptConfig:
-        css_kinds = (StrategyKind.CSS, StrategyKind.FINE_GRAINED_CSS)
-        if self.strategy.effective_kind in css_kinds and (
+        if self.strategy.shows_confidence and (
             self.n < 2 or self.css.num_perturbed > self.n
         ):
             raise ConfigError(
@@ -135,7 +135,7 @@ _TOP_KEYS = {f.name for f in fields(RunConfig)}
 _CSS_KEYS = {f.name for f in fields(CssConfig)} - {"seed"}
 _BACKEND_KEYS = {f.name for f in fields(BackendConfig)}
 _PATH_KEYS = ("weights", "index", "dataset", "templates", "iupac")
-_BOOL_KEYS = ("include_condition", "include_reaction_type", "shuffle_candidates")
+_SCALAR_KEYS = {k: t for k, t in get_type_hints(RunConfig).items() if t in (int, bool)}
 
 
 def _check_exists(label: str, path: Path | None) -> None:
@@ -217,9 +217,12 @@ def load_run_config(
     for key in _PATH_KEYS:
         if values.get(key) is not None:
             values[key] = Path(values[key])
-    for key in _BOOL_KEYS:
-        if key in values:
-            values[key] = bool(values[key])
+    for key, kind in _SCALAR_KEYS.items():
+        # type(), not isinstance(): a JSON true is not an integer here
+        if key in values and type(values[key]) is not kind:
+            raise ConfigError(
+                f"{key} must be of type {kind.__name__}, got {values[key]!r}"
+            )
 
     cfg = RunConfig(**values)
     for label in _PATH_KEYS:
@@ -263,12 +266,14 @@ def _load_iupac(cfg: RunConfig) -> dict[str, str] | None:
 
 @dataclass(frozen=True)
 class _Inputs:
-    """The weights, index, training set and evaluation set of one command."""
+    """The files one command reads: weights, index, datasets, IUPAC table, templates."""
 
     weights: GnnWeights
     corpus: ProductCorpus
     train: list[ReactionRecord]
     records: list[ReactionRecord]
+    iupac_table: dict[str, str] | None
+    templates: TemplateSet | None
 
     @classmethod
     def load(cls, cfg: RunConfig, eval_dataset: str | None = None) -> _Inputs:
@@ -278,12 +283,12 @@ class _Inputs:
         corpus = load_index(cfg.index)
         train = load_dataset(cfg.dataset)
         records = load_dataset(eval_dataset) if eval_dataset else train
-        return cls(weights, corpus, train, records)
-
-    def pipelines(self, cfg: RunConfig, ks: Sequence[int]) -> Iterator[Pipeline]:
-        """One pipeline per K; the IUPAC table and templates are read once."""
         iupac_table = _load_iupac(cfg)
         templates = TemplateSet.load(cfg.templates) if cfg.templates else None
+        return cls(weights, corpus, train, records, iupac_table, templates)
+
+    def pipelines(self, cfg: RunConfig, ks: Sequence[int]) -> Iterator[Pipeline]:
+        """One pipeline per K."""
         for k in ks:
             yield Pipeline(
                 self.corpus,
@@ -292,8 +297,8 @@ class _Inputs:
                 FeatureConfig(),
                 replace(cfg, k=k).prompt_config(),
                 cfg.backend,
-                iupac_table=iupac_table,
-                templates=templates,
+                iupac_table=self.iupac_table,
+                templates=self.templates,
                 seed=cfg.seed,
             )
 
@@ -369,13 +374,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, {**_overrides(args), "k": None})
     inputs = _Inputs.load(cfg, args.eval_dataset)
 
-    keys = inputs.corpus.key_set()
-    missing = [r.id for r in inputs.records if r.product_key() not in keys]
-    if missing:
-        raise MissingGroundTruth(
-            f"ground truth absent from the corpus for: {missing}", missing
-        )
-
+    # a bad evaluation set fails before any query runs
+    check_ground_truth(inputs.records, inputs.corpus)
     try:
         ks = _parse_k_spec(args.k) if args.k else [cfg.k]
     except ValueError as exc:
@@ -431,6 +431,8 @@ def cmd_compare_strategies(args: argparse.Namespace) -> int:
         strategies,
         seed=cfg.seed,
         max_concurrency=cfg.max_concurrency,
+        iupac_table=inputs.iupac_table,
+        templates=inputs.templates,
     )
     write_strategy_csv(rows, args.out)
     for row in rows:
@@ -582,6 +584,7 @@ _USER_ERRORS = (
     TemplateError,
     SchemaConflict,
     NotEnoughCandidates,
+    GroundTruthNotInTopK,
 )
 
 

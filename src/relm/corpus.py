@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -98,7 +98,7 @@ def molecules_key(graphs: Sequence[MolecularGraph]) -> tuple[str, ...]:
     return tuple(sorted(canonical_key(g) for g in graphs))
 
 
-_RECORD_FIELDS = {"id", "reactants", "products", "condition", "reaction_type", "iupac"}
+_RECORD_FIELDS = {f.name for f in fields(ReactionRecord)}
 
 
 def _record_from_dict(

@@ -119,20 +119,30 @@ def tag_layer(
     return _apply_activation(z, activation)
 
 
+def _forward(
+    x: np.ndarray, a: np.ndarray, weights: "GnnWeights"
+) -> tuple[np.ndarray, list[dict]]:
+    """(final-layer node matrix, per-layer caches for training's backprop)."""
+    h = x
+    caches = []
+    for layer, hops in enumerate(weights.layers):
+        propagated, z = _layer_preactivation(h, a, hops)
+        activation = weights.config.layer_activation(layer)
+        h = _apply_activation(z, activation)
+        caches.append({"propagated": propagated, "z": z, "activation": activation})
+    return h, caches
+
+
 def node_states(
     graph: MolecularGraph, weights: "GnnWeights", feature_cfg: FeatureConfig
 ) -> np.ndarray:
     """Final-layer node matrix before pooling."""
-    cfg = weights.config
-    if feature_cfg.feature_dim != cfg.feature_dim:
+    if feature_cfg.feature_dim != weights.config.feature_dim:
         raise ShapeMismatch(
             f"feature config produces {feature_cfg.feature_dim} dims, "
-            f"weights expect {cfg.feature_dim}"
+            f"weights expect {weights.config.feature_dim}"
         )
-    h, a = graph_features(graph, feature_cfg)
-    for layer, layer_weights in enumerate(weights.layers):
-        h = tag_layer(h, a, layer_weights, cfg.layer_activation(layer))
-    return h
+    return _forward(*graph_features(graph, feature_cfg), weights)[0]
 
 
 def embed_molecule(

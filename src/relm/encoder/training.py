@@ -21,12 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ..molgraph import FeatureConfig, graph_features, parse_smiles
-from .model import (
-    EncoderConfig,
-    ShapeMismatch,
-    _apply_activation,
-    _layer_preactivation,
-)
+from .model import EncoderConfig, ShapeMismatch, _forward
 from .weights import GnnWeights, random_init
 
 
@@ -94,20 +89,6 @@ class _Batch:
         return members
 
 
-def _forward_molecule(
-    x: np.ndarray, a: np.ndarray, weights: GnnWeights
-) -> tuple[np.ndarray, list[dict]]:
-    """Returns (pooled embedding, per-layer caches for backprop)."""
-    h = x
-    caches = []
-    for layer, hops in enumerate(weights.layers):
-        propagated, z = _layer_preactivation(h, a, hops)
-        activation = weights.config.layer_activation(layer)
-        h = _apply_activation(z, activation)
-        caches.append({"propagated": propagated, "z": z, "activation": activation})
-    return h.sum(axis=0), caches
-
-
 def _backward_molecule(
     pooled_grad: np.ndarray,
     a: np.ndarray,
@@ -153,8 +134,8 @@ def contrastive_loss_and_grad(
     pooled = []
     caches = []
     for x, a in batch.molecules:
-        e, cache = _forward_molecule(x, a, weights)
-        pooled.append(e)
+        h, cache = _forward(x, a, weights)
+        pooled.append(h.sum(axis=0))
         caches.append(cache)
     h_r = np.array([sum(pooled[m] for m in ms) for ms in batch.reactant_members])
     h_p = np.array([sum(pooled[m] for m in ms) for ms in batch.product_members])

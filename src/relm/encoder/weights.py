@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,7 @@ class GnnWeights:
     def fingerprint(self) -> str:
         """Stable hash of config plus weight bytes, for index staleness checks."""
         digest = hashlib.sha256()
-        digest.update(json.dumps(_config_to_dict(self.config), sort_keys=True).encode())
+        digest.update(json.dumps(asdict(self.config), sort_keys=True).encode())
         for hops in self.layers:
             for w in hops:
                 digest.update(np.ascontiguousarray(w, dtype=np.float64).tobytes())
@@ -87,18 +87,8 @@ def random_init(config: EncoderConfig, seed: int) -> GnnWeights:
     return GnnWeights(config=config, layers=layers)
 
 
-def _config_to_dict(config: EncoderConfig) -> dict:
-    return {
-        "feature_dim": config.feature_dim,
-        "embed_dim": config.embed_dim,
-        "num_layers": config.num_layers,
-        "hops_per_layer": config.hops_per_layer,
-        "activation": config.activation,
-    }
-
-
 def _config_from_dict(data: dict) -> EncoderConfig:
-    expected = {"feature_dim", "embed_dim", "num_layers", "hops_per_layer", "activation"}
+    expected = {f.name for f in fields(EncoderConfig)}
     if not isinstance(data, dict) or set(data) != expected:
         raise FormatError(
             f"weight config must have exactly the keys {sorted(expected)}"
@@ -111,7 +101,7 @@ def _config_from_dict(data: dict) -> EncoderConfig:
 
 def save_weights(weights: GnnWeights, path: str | Path) -> None:
     payload = {
-        "config": _config_to_dict(weights.config),
+        "config": asdict(weights.config),
         "layers": [
             [
                 {"shape": list(w.shape), "data": [float(v) for v in w.ravel()]}

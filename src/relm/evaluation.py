@@ -12,7 +12,7 @@ import csv
 import json
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -24,7 +24,7 @@ from .molgraph import FeatureConfig
 
 if TYPE_CHECKING:
     from .lmclient import PredictionResult
-    from .prompt import PromptConfig, Strategy
+    from .prompt import PromptConfig, Strategy, TemplateSet
     from .lmclient import BackendConfig
 
 
@@ -95,6 +95,19 @@ def accuracy(outcomes: Sequence[SampleOutcome]) -> float:
     return sum(1 for o in outcomes if o.correct) / len(outcomes)
 
 
+def check_ground_truth(
+    records: Sequence[ReactionRecord], corpus: ProductCorpus
+) -> None:
+    """Raise MissingGroundTruth naming every record whose true product
+    set is not given or not in the corpus."""
+    keys = corpus.key_set()
+    missing = [r.id for r in records if not r.products or r.product_key() not in keys]
+    if missing:
+        raise MissingGroundTruth(
+            f"ground truth absent from the corpus for: {missing}", missing
+        )
+
+
 def hit_at_k(
     records: Sequence[ReactionRecord],
     corpus: ProductCorpus,
@@ -109,12 +122,7 @@ def hit_at_k(
     """
     if not records:
         raise ValueError("hit_at_k needs at least one record")
-    keys = corpus.key_set()
-    missing = [r.id for r in records if not r.products or r.product_key() not in keys]
-    if missing:
-        raise MissingGroundTruth(
-            f"ground truth absent from the corpus for: {missing}", missing
-        )
+    check_ground_truth(records, corpus)
     hits = 0
     for record in records:
         candidates = top_k_candidates(
@@ -373,42 +381,13 @@ def write_outcomes_csv(outcomes: Sequence[SampleOutcome], path: str | Path) -> N
             )
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "accuracy": report.accuracy,
-        "hit_at_k": report.hit_at_k,
-        "k": report.k,
-        "mean_tokens": report.mean_tokens,
-        "mean_latency_ms": report.mean_latency_ms,
-        "parse_failure_rate": report.parse_failure_rate,
-        "config": report.config,
-        "outcomes": [
-            {
-                "id": o.id,
-                "correct": o.correct,
-                "gnn_rank_of_truth": o.gnn_rank_of_truth,
-                "final_choice_id": o.final_choice_id,
-                "choice": o.choice,
-                "confidence": o.confidence,
-                "per_candidate_scores": (
-                    list(o.per_candidate_scores)
-                    if o.per_candidate_scores is not None
-                    else None
-                ),
-                "parse_status": o.parse_status,
-                "latency_ms": o.latency_ms,
-                "tokens": o.token_estimate,
-                "fell_back": o.fell_back,
-            }
-            for o in report.outcomes
-        ],
-    }
-
-
 def write_report_json(report: EvalReport, path: str | Path) -> None:
+    """All report fields; each outcome's token_estimate is named "tokens"."""
+    data = asdict(report)
+    for outcome in data["outcomes"]:
+        outcome["tokens"] = outcome.pop("token_estimate")
     Path(path).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
@@ -434,12 +413,14 @@ def compare_strategies(
     strategies: Sequence["Strategy"],
     seed: int = 0,
     max_concurrency: int = 4,
+    iupac_table: dict[str, str] | None = None,
+    templates: "TemplateSet | None" = None,
 ) -> list[StrategyRow]:
     """One row per strategy over identical samples, seeds and corpus.
 
-    Each row gets a fresh pipeline (and thus fresh mock state) so rows
-    cannot contaminate each other; MES rows report the full multi-run
-    token total per sample.
+    Each row gets a fresh pipeline (and thus fresh mock state), rendering
+    with the given IUPAC table and templates, so rows cannot contaminate
+    each other; MES rows report the full multi-run token total per sample.
     """
     from .lmclient import Pipeline, run_dataset
 
@@ -449,7 +430,8 @@ def compare_strategies(
     for strategy in strategies:
         cfg = replace(prompt_cfg, strategy=strategy)
         pipeline = Pipeline(
-            corpus, train, weights, feature_cfg, cfg, backend_cfg, seed=seed
+            corpus, train, weights, feature_cfg, cfg, backend_cfg,
+            iupac_table=iupac_table, templates=templates, seed=seed,
         )
         results = run_dataset(pipeline, records, max_concurrency=max_concurrency)
         outcomes = [

@@ -17,7 +17,7 @@ import string
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -41,7 +41,6 @@ from .prompt import (
     AnswerSchema,
     PromptConfig,
     RenderedPrompt,
-    StrategyKind,
     TemplateSet,
     estimate_tokens,
     render,
@@ -113,11 +112,13 @@ def load_mock_script(path: str | Path) -> tuple[MockRule, ...]:
         raise ValueError(f"{path}: mock script is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ValueError(f"{path}: mock script must be a JSON list")
+    required = {f.name for f in fields(MockRule) if f.default is MISSING}
     rules = []
     for idx, raw in enumerate(data):
-        if not isinstance(raw, dict) or not {"match", "response"} <= set(raw):
-            raise ValueError(f"{path}: rule {idx} needs 'match' and 'response'")
-        extra = set(raw) - {"match", "response", "fail_times"}
+        if not isinstance(raw, dict) or not required <= set(raw):
+            needed = " and ".join(repr(k) for k in sorted(required))
+            raise ValueError(f"{path}: rule {idx} needs {needed}")
+        extra = set(raw) - {f.name for f in fields(MockRule)}
         if extra:
             raise ValueError(f"{path}: rule {idx} has unknown keys {sorted(extra)}")
         rules.append(
@@ -529,9 +530,10 @@ class PredictionResult:
 class Pipeline:
     """Retrieve, build context, render, complete, parse; with fallback.
 
-    Thread-safe for concurrent predict() calls: caches are built under a
-    lock and all randomness is derived per query id, so results do not
-    depend on scheduling order.
+    Thread-safe for concurrent predict() calls: the backend and training
+    embeddings are built under a lock; the candidate cache needs none, as
+    dict reads and writes are atomic and threads store equal lists for an
+    entry.  Randomness is derived per query id, so order changes nothing.
     """
 
     def __init__(
@@ -579,8 +581,7 @@ class Pipeline:
 
     def _build_context(self, query: ReactionRecord) -> list[InContextExample]:
         cfg = self.prompt_cfg
-        kind = cfg.strategy.effective_kind
-        if kind in (StrategyKind.ZERO_SHOT, StrategyKind.ZERO_SHOT_COT):
+        if not cfg.strategy.shows_examples:
             return []
         ranking = select_examples(
             query,
@@ -590,8 +591,6 @@ class Pipeline:
             self.feature_cfg,
             train_embeddings=self._embeddings(),
         )
-        with self._lock:
-            cache = dict(self._candidate_cache)
         examples = build_context(
             ranking[: cfg.n],
             self.train,
@@ -600,11 +599,9 @@ class Pipeline:
             self.weights,
             self.feature_cfg,
             fallback=ranking[cfg.n :],
-            candidate_cache=cache,
+            candidate_cache=self._candidate_cache,
         )
-        with self._lock:
-            self._candidate_cache.update(cache)
-        if kind in (StrategyKind.CSS, StrategyKind.FINE_GRAINED_CSS):
+        if cfg.strategy.shows_confidence:
             per_query = replace(cfg.css, seed=derive_seed(self.seed, f"css|{query.id}"))
             examples = perturb_context(examples, per_query)
         return examples

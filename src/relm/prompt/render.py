@@ -12,6 +12,7 @@ import re
 import string
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from ..corpus import CandidateList, CssConfig, InContextExample, ReactionRecord
 from .templating import TemplateSet, default_templates
@@ -44,37 +45,27 @@ class MoleculeRendering(str, Enum):
     SMILES_PLUS_IUPAC = "smiles_plus_iupac"
 
 
-_ZERO_SHOT_KINDS = (StrategyKind.ZERO_SHOT, StrategyKind.ZERO_SHOT_COT)
-_CONFIDENCE_KINDS = (StrategyKind.CSS, StrategyKind.FINE_GRAINED_CSS)
+class _Layout(NamedTuple):
+    """How one strategy kind renders."""
 
-_SCHEMA_BY_KIND = {
-    StrategyKind.PLAIN: AnswerSchema.LETTER_ONLY,
-    StrategyKind.JSON: AnswerSchema.JSON_OBJECT,
-    StrategyKind.CSS: AnswerSchema.LETTER_PLUS_CONFIDENCE,
-    StrategyKind.FINE_GRAINED_CSS: AnswerSchema.PER_CANDIDATE_SCORES,
-    StrategyKind.ZERO_SHOT: AnswerSchema.LETTER_ONLY,
-    StrategyKind.ZERO_SHOT_COT: AnswerSchema.LETTER_ONLY,
-    StrategyKind.FEW_SHOT_COT: AnswerSchema.LETTER_ONLY,
-}
+    schema: AnswerSchema
+    header: str  # template slot that opens the user message
+    closing: str  # template slot that ends it
+    examples: bool  # shows in-context examples
+    confidence: bool  # its examples carry confidences
 
-_HEADER_SLOT = {
-    StrategyKind.PLAIN: "header_plain",
-    StrategyKind.JSON: "header_json",
-    StrategyKind.CSS: "header_css",
-    StrategyKind.FINE_GRAINED_CSS: "header_fine",
-    StrategyKind.ZERO_SHOT: "header_zeroshot",
-    StrategyKind.ZERO_SHOT_COT: "header_zeroshot",
-    StrategyKind.FEW_SHOT_COT: "header_fewshot_cot",
-}
 
-_CLOSING_SLOT = {
-    StrategyKind.PLAIN: "closing_letter",
-    StrategyKind.JSON: "closing_json",
-    StrategyKind.CSS: "closing_confidence",
-    StrategyKind.FINE_GRAINED_CSS: "closing_fine",
-    StrategyKind.ZERO_SHOT: "closing_letter",
-    StrategyKind.ZERO_SHOT_COT: "closing_cot",
-    StrategyKind.FEW_SHOT_COT: "closing_cot",
+_LAYOUT = {
+    StrategyKind(kind): _Layout(AnswerSchema(schema), *slots_and_flags)
+    for kind, schema, *slots_and_flags in (
+        ("plain", "letter_only", "header_plain", "closing_letter", True, False),
+        ("json", "json_object", "header_json", "closing_json", True, False),
+        ("css", "letter_plus_confidence", "header_css", "closing_confidence", True, True),
+        ("fine_grained_css", "per_candidate_scores", "header_fine", "closing_fine", True, True),
+        ("zero_shot", "letter_only", "header_zeroshot", "closing_letter", False, False),
+        ("zero_shot_cot", "letter_only", "header_zeroshot", "closing_cot", False, False),
+        ("few_shot_cot", "letter_only", "header_fewshot_cot", "closing_cot", True, False),
+    )
 }
 
 MES_DEFAULT_RUNS = 10
@@ -153,7 +144,17 @@ class Strategy:
 
     @property
     def answer_schema(self) -> AnswerSchema:
-        return _SCHEMA_BY_KIND[self.effective_kind]
+        return _LAYOUT[self.effective_kind].schema
+
+    @property
+    def shows_examples(self) -> bool:
+        """False for the zero-shot kinds, which take no in-context examples."""
+        return _LAYOUT[self.effective_kind].examples
+
+    @property
+    def shows_confidence(self) -> bool:
+        """True for the CSS kinds, whose examples carry confidences."""
+        return _LAYOUT[self.effective_kind].confidence
 
 
 @dataclass(frozen=True)
@@ -269,6 +270,7 @@ def render(
     """Deterministically assemble the full chat prompt."""
     templates = templates if templates is not None else default_templates()
     kind = cfg.strategy.effective_kind
+    layout = _LAYOUT[kind]
 
     if not candidates.entries:
         raise SchemaConflict("cannot render a prompt without candidates")
@@ -276,12 +278,12 @@ def render(
         raise SchemaConflict(
             f"{len(candidates.entries)} candidates exceed the letter labels"
         )
-    if kind in _ZERO_SHOT_KINDS:
+    if not layout.examples:
         if context:
             raise SchemaConflict(f"{kind.value} takes no in-context examples")
     elif not context:
         raise SchemaConflict(f"{kind.value} requires in-context examples")
-    if kind in _CONFIDENCE_KINDS:
+    if layout.confidence:
         missing = [e.record.id for e in context if e.confidence is None]
         if missing:
             raise SchemaConflict(
@@ -292,13 +294,13 @@ def render(
     if cfg.shuffle_candidates_seed is not None:
         random.Random(cfg.shuffle_candidates_seed).shuffle(order)
 
-    blocks = [templates[_HEADER_SLOT[kind]].text.rstrip("\n")]
+    blocks = [templates[layout.header].text.rstrip("\n")]
     example_template = templates["example"]
     for position, example in enumerate(context, start=1):
         record = example.record
         example_order = list(range(len(example.candidates.entries)))
         confidence = ""
-        if kind in _CONFIDENCE_KINDS:
+        if layout.confidence:
             confidence = f"\nConfidence: {example.confidence}"
         values = {
             "index": str(position),
@@ -332,7 +334,7 @@ def render(
 
     letters = tuple(string.ascii_uppercase[: len(order)])
     closing_values = {"letters": ", ".join(letters)}
-    blocks.append(templates[_CLOSING_SLOT[kind]].render(closing_values).rstrip("\n"))
+    blocks.append(templates[layout.closing].render(closing_values).rstrip("\n"))
 
     truth_key = None
     if query.products:
@@ -349,7 +351,7 @@ def render(
             Message(role="system", content=templates["system"].text.rstrip("\n")),
             Message(role="user", content="\n\n".join(blocks)),
         ),
-        answer_schema=cfg.strategy.answer_schema,
+        answer_schema=layout.schema,
         letters=letters,
         meta=meta,
     )

@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 import relm.cli
+import relm.prompt
 from relm.cli import main
 from relm.corpus import corpus_from_records, save_dataset, save_index
 from relm.encoder import EncoderConfig, random_init, save_weights
@@ -234,6 +237,9 @@ def test_missing_config_file_exits_2(workspace, tmp_path, capsys):
         ({"backend": {"kind": "nosuch"}}, "nosuch"),
         ({"n": 1}, "needs n >= 2"),
         ({"css": {"num_perturbed": 4}}, "needs n >= 2"),
+        ({"k": "4"}, "k must be of type int"),
+        ({"n": 2.5}, "n must be of type int"),
+        ({"shuffle_candidates": "false"}, "shuffle_candidates must be of type bool"),
     ],
 )
 def test_bad_config_exits_2(workspace, tmp_path, capsys, edits, fragment):
@@ -426,6 +432,34 @@ def test_evaluate_missing_truth_fails_before_backend(workspace, tmp_path, capsys
     assert "alien" in err
 
 
+def test_unbuildable_context_exits_2(tmp_path, capsys):
+    # four reactions leave too few whose truth is in their own top-2
+    train = synthetic_reactions(4, seed=0)
+    weights = random_init(
+        EncoderConfig(feature_dim=FEATURE_CFG.feature_dim, embed_dim=16), seed=0
+    )
+    save_dataset(train, tmp_path / "train.jsonl")
+    save_weights(weights, tmp_path / "w.json")
+    save_index(corpus_from_records(train, weights, FEATURE_CFG), tmp_path / "index.json")
+    cfg_path = write_config(
+        tmp_path / "cfg.json",
+        {
+            "weights": str(tmp_path / "w.json"),
+            "index": str(tmp_path / "index.json"),
+            "dataset": str(tmp_path / "train.jsonl"),
+            "backend": {"kind": "oracle"},
+            "strategy": "plain",
+            "k": 2,
+            "n": 3,
+        },
+    )
+    code = main(
+        ["evaluate", "--config", cfg_path, "--out-dir", str(tmp_path / "reports")]
+    )
+    assert code == 2
+    assert "truth in top-2" in capsys.readouterr().err
+
+
 def test_bad_k_sweep_exits_2(workspace, tmp_path, capsys):
     ws, base, _ = workspace
     code = main(
@@ -524,6 +558,39 @@ def test_compare_strategies_cli(workspace, tmp_path, capsys):
     assert plain[0] == "plain" and mes[0] == "mes:plain:3"
     assert float(mes[2]) == 3 * float(plain[2])
     assert "plain: acc=" in stdout
+
+
+def test_compare_strategies_uses_config_templates_and_iupac(
+    workspace, tmp_path, capsys
+):
+    ws, base, train = workspace
+    templates = tmp_path / "templates"
+    shutil.copytree(Path(relm.prompt.__file__).parent / "templates", templates)
+    header = templates / "header_plain.txt"
+    header.write_text("Read every candidate before you answer.\n" + header.read_text())
+    smiles = {s for r in train for s in (*r.reactants, *r.products)}
+    (tmp_path / "iupac.json").write_text(
+        json.dumps({s: "a rather long systematic name" for s in smiles})
+    )
+    cfg_path = write_config(
+        tmp_path / "cfg.json",
+        base,
+        strategy="plain",
+        templates=str(templates),
+        iupac=str(tmp_path / "iupac.json"),
+        molecule_rendering="smiles_plus_iupac",
+    )
+    assert main(
+        ["evaluate", "--config", cfg_path, "--out-dir", str(tmp_path / "reports")]
+    ) == 0
+    report = json.loads((tmp_path / "reports" / "report_k4.json").read_text())
+    out = tmp_path / "rows.csv"
+    assert main(
+        ["compare-strategies", "--config", cfg_path, "--strategies", "plain",
+         "--out", str(out)]
+    ) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert float(row[2]) == report["mean_tokens"]
 
 
 def test_train_toy_zero_epochs(workspace, tmp_path, capsys):

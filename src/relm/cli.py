@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
-from typing import Iterator, Sequence, get_type_hints
+from typing import Any, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 from .corpus import (
     CssConfig,
@@ -68,7 +69,6 @@ from .lmclient import (
 )
 from .molgraph import FeatureConfig, SmilesError
 from .prompt import (
-    MoleculeRendering,
     PromptConfig,
     SchemaConflict,
     Strategy,
@@ -88,54 +88,48 @@ class RunConfig:
     dataset: Path | None = None
     templates: Path | None = None
     iupac: Path | None = None
-    k: int = 4
-    n: int = 3
-    strategy: Strategy = Strategy.parse("plain")
-    include_condition: bool = False
-    include_reaction_type: bool = False
-    molecule_rendering: MoleculeRendering = MoleculeRendering.SMILES_ONLY
+    # the file spells the prompt settings as top-level keys
+    prompt: PromptConfig = field(default=PromptConfig(), metadata={"flat": True})
     shuffle_candidates: bool = False
-    css: CssConfig = CssConfig()
     backend: BackendConfig = BackendConfig(kind=BackendKind.ORACLE)
     seed: int = 0
     max_concurrency: int = 4
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
         if self.max_concurrency < 1:
             raise ConfigError("max_concurrency must be >= 1")
 
     def prompt_config(self) -> PromptConfig:
-        if self.strategy.shows_confidence and (
-            self.n < 2 or self.css.num_perturbed > self.n
+        """The prompt settings, with the shuffle seed drawn from the run's seed."""
+        prompt = self.prompt
+        if prompt.strategy.shows_confidence and (
+            prompt.n < 2 or prompt.css.num_perturbed > prompt.n
         ):
             raise ConfigError(
-                f"{self.strategy.label} needs n >= 2 and css num_perturbed <= n"
+                f"{prompt.strategy.label} needs n >= 2 and css num_perturbed <= n"
             )
         shuffle_seed = (
             derive_seed(self.seed, "shuffle") if self.shuffle_candidates else None
         )
-        return PromptConfig(
-            strategy=self.strategy,
-            k=self.k,
-            n=self.n,
-            include_condition=self.include_condition,
-            include_reaction_type=self.include_reaction_type,
-            molecule_rendering=self.molecule_rendering,
-            css=self.css,
-            shuffle_candidates_seed=shuffle_seed,
-        )
+        return replace(prompt, shuffle_candidates_seed=shuffle_seed)
 
 
-_TOP_KEYS = {f.name for f in fields(RunConfig)}
-# the perturbation seed is derived per query, never configured
-_CSS_KEYS = {f.name for f in fields(CssConfig)} - {"seed"}
-_BACKEND_KEYS = {f.name for f in fields(BackendConfig)}
-_PATH_KEYS = ("weights", "index", "dataset", "templates", "iupac")
-_SCALAR_KEYS = {k: t for k, t in get_type_hints(RunConfig).items() if t in (int, bool)}
+# seeds derived per run or per query, never read from the file
+_DERIVED = {(PromptConfig, "shuffle_candidates_seed"), (CssConfig, "seed")}
+# field types the file writes as strings
+_FROM_TEXT = (Path, Strategy, Enum)
+
+
+def _file_keys(cls: type) -> Iterator[str]:
+    """The keys of the JSON object that fills dataclass cls."""
+    for f in fields(cls):
+        if f.metadata.get("flat"):
+            yield from _file_keys(get_type_hints(cls)[f.name])
+        elif (cls, f.name) not in _DERIVED:
+            yield f.name
+
+
+_TOP_KEYS = set(_file_keys(RunConfig))
 
 
 def _check_exists(label: str, path: Path | None) -> None:
@@ -150,6 +144,7 @@ def load_run_config(
 ) -> RunConfig:
     """Read the JSON config, apply non-None overrides, validate files.
 
+    Each value must have the type of the dataclass field it fills.
     Input paths must exist; keys in skip_exists are a command's outputs
     and are exempt (build-index writes the index it names).
     """
@@ -163,83 +158,80 @@ def load_run_config(
             raise ConfigError(f"{path}: config is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
-
-    # only keys present in the file reach the dataclasses, so their own
-    # defaults apply to the rest
-    values = dict(data)
-    try:
-        values["css"] = CssConfig(**_section(data, "css", _CSS_KEYS))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"css settings: {exc}")
-
-    backend_raw = _section(data, "backend", _BACKEND_KEYS)
-    script_path = backend_raw.pop("mock_script", None)
-    if script_path is not None:
-        _check_exists("mock script", Path(script_path))
-    # a run defaults to the oracle backend, a bare BackendConfig to mock
-    kind = backend_raw.get("kind", RunConfig.backend.kind.value)
-    try:
-        backend_raw["kind"] = BackendKind(kind)
-    except ValueError:
-        raise ConfigError(
-            f"unknown backend kind {kind!r}; "
-            f"valid: {sorted(k.value for k in BackendKind)}"
-        )
-    try:
-        if script_path is not None:
-            backend_raw["mock_script"] = load_mock_script(script_path)
-        values["backend"] = BackendConfig(**backend_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"backend settings: {exc}")
-
-    if "strategy" in values:
-        try:
-            values["strategy"] = Strategy.parse(values["strategy"])
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    if "molecule_rendering" in values:
-        try:
-            values["molecule_rendering"] = MoleculeRendering(
-                values["molecule_rendering"]
-            )
-        except ValueError:
-            raise ConfigError(
-                f"unknown molecule_rendering {values['molecule_rendering']!r}; "
-                f"valid: {sorted(m.value for m in MoleculeRendering)}"
-            )
-    for key in _PATH_KEYS:
-        if values.get(key) is not None:
-            values[key] = Path(values[key])
-    for key, kind in _SCALAR_KEYS.items():
-        # type(), not isinstance(): a JSON true is not an integer here
-        if key in values and type(values[key]) is not kind:
-            raise ConfigError(
-                f"{key} must be of type {kind.__name__}, got {values[key]!r}"
-            )
-
-    cfg = RunConfig(**values)
-    for label in _PATH_KEYS:
-        if label not in skip_exists:
-            _check_exists(label, getattr(cfg, label))
+    data.update((key, value) for key, value in overrides.items() if value is not None)
+    cfg = _build(RunConfig(), data)
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, Path) and f.name not in skip_exists:
+            _check_exists(f.name, value)
     return cfg
 
 
-def _section(data: dict, name: str, allowed: set[str]) -> dict:
-    """A nested config object, checked for unknown keys."""
-    raw = data.get(name, {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{name} must be a JSON object")
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {name} keys {sorted(unknown)}")
-    return dict(raw)
+def _build(template: Any, data: dict, where: str = "") -> Any:
+    """A copy of dataclass instance template holding the file's values.
+
+    Only keys present in the file are replaced, so the template's values
+    are the defaults.  where is the file's spelling of the object, such
+    as "backend."; a flat field takes its keys from the same object.
+    """
+    cls = type(template)
+    hints = get_type_hints(cls)
+    rest = dict(data)
+    values = {}
+    for f in fields(cls):
+        kind, key = hints[f.name], where + f.name
+        if f.metadata.get("flat"):
+            own = {k: rest.pop(k) for k in _file_keys(kind) if k in rest}
+            values[f.name] = _build(getattr(template, f.name), own, where)
+        elif f.name not in rest or (cls, f.name) in _DERIVED:
+            continue
+        elif key == "backend.mock_script":
+            # the file names a script; the field holds the rules read from it
+            script = _convert(rest.pop(f.name), Path | None, key)
+            _check_exists("mock script", script)
+            try:
+                values[f.name] = load_mock_script(script) if script else ()
+            except ValueError as exc:
+                raise ConfigError(str(exc))
+        elif is_dataclass(kind) and not issubclass(kind, _FROM_TEXT):
+            value = rest.pop(f.name)
+            if type(value) is not dict:
+                raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+            values[f.name] = _build(getattr(template, f.name), value, key + ".")
+        else:
+            values[f.name] = _convert(rest.pop(f.name), kind, key)
+    if rest:
+        raise ConfigError(f"unknown config keys {sorted(where + k for k in rest)}")
+    try:
+        return replace(template, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{where[:-1]}: {exc}" if where else str(exc))
+
+
+def _convert(value: Any, kind: Any, key: str) -> Any:
+    """One file value as a field of annotated type kind; key spells it as the file does."""
+    if type(None) in get_args(kind):  # X | None
+        if value is None:
+            return None
+        (kind,) = set(get_args(kind)) - {type(None)}
+    if get_origin(kind) is tuple:  # tuple[X, ...]
+        if type(value) is not list:
+            raise ConfigError(f"{key} must be a JSON list, got {value!r}")
+        item = get_args(kind)[0]
+        return tuple(_convert(v, item, f"{key}[{i}]") for i, v in enumerate(value))
+    text = issubclass(kind, _FROM_TEXT)
+    wanted = str if text else kind
+    # type(), not isinstance(): a JSON true is not an integer here.  A
+    # float field keeps a JSON integer as given.
+    if type(value) is not wanted and not (kind is float and type(value) is int):
+        raise ConfigError(f"{key} must be of type {wanted.__name__}, got {value!r}")
+    if not text:
+        return value
+    try:
+        return Strategy.parse(value) if kind is Strategy else kind(value)
+    except ValueError as exc:
+        valid = f"; valid: {sorted(m.value for m in kind)}" if issubclass(kind, Enum) else ""
+        raise ConfigError(f"{key}: {exc}{valid}")
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -295,7 +287,7 @@ class _Inputs:
                 self.train,
                 self.weights,
                 FeatureConfig(),
-                replace(cfg, k=k).prompt_config(),
+                replace(cfg.prompt_config(), k=k),
                 cfg.backend,
                 iupac_table=self.iupac_table,
                 templates=self.templates,
@@ -323,7 +315,7 @@ def cmd_build_index(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     """predict; inspect-prompt is its dry run plus a summary on stderr."""
     cfg = load_run_config(args.config, _overrides(args))
-    (pipeline,) = _Inputs.load(cfg).pipelines(cfg, [cfg.k])
+    (pipeline,) = _Inputs.load(cfg).pipelines(cfg, [cfg.prompt.k])
     record = load_record(args.reaction)
     if args.dry_run:
         prompt = pipeline.render_prompt(record)
@@ -377,7 +369,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # a bad evaluation set fails before any query runs
     check_ground_truth(inputs.records, inputs.corpus)
     try:
-        ks = _parse_k_spec(args.k) if args.k else [cfg.k]
+        ks = _parse_k_spec(args.k) if args.k else [cfg.prompt.k]
     except ValueError as exc:
         raise ConfigError(f"bad --k value: {exc}")
     out_dir = Path(args.out_dir)
@@ -392,9 +384,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             pipeline.feature_cfg,
             k,
             config={
-                "strategy": cfg.strategy.label,
+                "strategy": cfg.prompt.strategy.label,
                 "k": k,
-                "n": cfg.n,
+                "n": cfg.prompt.n,
                 "seed": cfg.seed,
                 "backend": cfg.backend.kind.value,
             },

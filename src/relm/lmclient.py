@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import requests
 
@@ -112,22 +112,27 @@ def load_mock_script(path: str | Path) -> tuple[MockRule, ...]:
         raise ValueError(f"{path}: mock script is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ValueError(f"{path}: mock script must be a JSON list")
+    hints = get_type_hints(MockRule)
     required = {f.name for f in fields(MockRule) if f.default is MISSING}
     rules = []
     for idx, raw in enumerate(data):
         if not isinstance(raw, dict) or not required <= set(raw):
             needed = " and ".join(repr(k) for k in sorted(required))
             raise ValueError(f"{path}: rule {idx} needs {needed}")
-        extra = set(raw) - {f.name for f in fields(MockRule)}
+        extra = set(raw) - set(hints)
         if extra:
             raise ValueError(f"{path}: rule {idx} has unknown keys {sorted(extra)}")
-        rules.append(
-            MockRule(
-                match=str(raw["match"]),
-                response=str(raw["response"]),
-                fail_times=int(raw.get("fail_times", 0)),
-            )
-        )
+        for name, value in raw.items():
+            # type(), not isinstance(): a JSON true is not an integer here
+            if type(value) is not hints[name]:
+                raise ValueError(
+                    f"{path}: rule {idx} {name} must be of type "
+                    f"{hints[name].__name__}, got {value!r}"
+                )
+        try:
+            rules.append(MockRule(**raw))
+        except ValueError as exc:
+            raise ValueError(f"{path}: rule {idx}: {exc}") from exc
     return tuple(rules)
 
 

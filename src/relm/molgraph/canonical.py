@@ -23,7 +23,7 @@ def _digest(text: str) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def canonical_key(graph: MolecularGraph, rounds: int = REFINEMENT_ROUNDS) -> str:
+def canonical_key(graph: MolecularGraph) -> str:
     """Hex key identifying ``graph`` up to atom reordering."""
     labels = [
         _digest(
@@ -36,7 +36,7 @@ def canonical_key(graph: MolecularGraph, rounds: int = REFINEMENT_ROUNDS) -> str
         [(order.value, other) for other, order in graph.neighbors(i)]
         for i in range(graph.num_atoms)
     ]
-    for _ in range(rounds):
+    for _ in range(REFINEMENT_ROUNDS):
         labels = [
             _digest(
                 labels[i]

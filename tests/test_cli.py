@@ -10,12 +10,14 @@ import pytest
 import relm.cli
 import relm.prompt
 from relm.cli import main
-from relm.corpus import corpus_from_records, save_dataset, save_index
+from relm.corpus import CssConfig, corpus_from_records, save_dataset, save_index
 from relm.encoder import EncoderConfig, random_init, save_weights
+from relm.lmclient import BackendConfig
 from relm.molgraph import FeatureConfig
 from relm.synthetic import synthetic_reactions
 
 FEATURE_CFG = FeatureConfig()
+HTTP_BACKEND = {"kind": "http", "endpoint": "http://example.invalid/v1"}
 
 
 def record_to_dict(record):
@@ -240,6 +242,30 @@ def test_missing_config_file_exits_2(workspace, tmp_path, capsys):
         ({"k": "4"}, "k must be of type int"),
         ({"n": 2.5}, "n must be of type int"),
         ({"shuffle_candidates": "false"}, "shuffle_candidates must be of type bool"),
+        ({"strategy": 5}, "strategy must be of type str, got 5"),
+        ({"dataset": 5}, "dataset must be of type str, got 5"),
+        ({"templates": 5}, "templates must be of type str, got 5"),
+        ({"iupac": 5}, "iupac must be of type str, got 5"),
+        (
+            {"backend": {"kind": "mock", "mock_script": 5}},
+            "backend.mock_script must be of type str, got 5",
+        ),
+        (
+            {"backend": {"kind": "http", "endpoint": 5}},
+            "backend.endpoint must be of type str, got 5",
+        ),
+        (
+            {"backend": {**HTTP_BACKEND, "api_key_env": 5}},
+            "backend.api_key_env must be of type str, got 5",
+        ),
+        (
+            {"backend": {**HTTP_BACKEND, "max_retries": 2.5}},
+            "backend.max_retries must be of type int, got 2.5",
+        ),
+        (
+            {"strategy": "css", "css": {"num_perturbed": True}},
+            "css.num_perturbed must be of type int, got True",
+        ),
     ],
 )
 def test_bad_config_exits_2(workspace, tmp_path, capsys, edits, fragment):
@@ -250,6 +276,34 @@ def test_bad_config_exits_2(workspace, tmp_path, capsys, edits, fragment):
     )
     assert code == 2
     assert fragment in capsys.readouterr().err
+
+
+FILE_KEYS = (
+    sorted(relm.cli._TOP_KEYS)
+    + [f"css.{f.name}" for f in dataclasses.fields(CssConfig)]
+    + [f"backend.{f.name}" for f in dataclasses.fields(BackendConfig)]
+)
+
+
+@pytest.mark.parametrize("key", FILE_KEYS)
+def test_every_config_key_checks_its_type(workspace, tmp_path, capsys, key):
+    # a JSON value that no field accepts must be a user error, never a crash
+    ws, base, _ = workspace
+    section, _, name = key.rpartition(".")
+    if section == "backend":
+        edits = {"backend": {**HTTP_BACKEND, name: [[1]]}}
+    elif section == "css":
+        edits = {"css": {name: [[1]]}}
+    else:
+        edits = {key: [[1]]}
+    cfg_path = write_config(tmp_path / "cfg.json", base, **edits)
+    code = main(
+        ["predict", "--config", cfg_path, "--reaction", str(ws / "query.json")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "internal error" not in err
+    assert key in err
 
 
 def test_missing_referenced_file_exits_2(workspace, tmp_path, capsys):
@@ -342,6 +396,10 @@ def test_bad_strategies_value_exits_2(workspace, tmp_path, capsys):
         '{"match": "*"}',
         '[{"match": "*"}]',
         '[{"match": "*", "response": "A", "extra": 1}]',
+        '[{"match": "*", "response": "A", "fail_times": true}]',
+        '[{"match": "*", "response": "A", "fail_times": 1.7}]',
+        '[{"match": 5, "response": 7}]',
+        '[{"match": "*", "response": "A", "fail_times": -1}]',
     ],
 )
 def test_malformed_mock_script_exits_2(workspace, tmp_path, capsys, script):

@@ -14,9 +14,8 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from enum import Enum
 from pathlib import Path
-from typing import Any, Iterator, Sequence, get_args, get_origin, get_type_hints
+from typing import Any, Iterator, Sequence, get_type_hints
 
 from .corpus import (
     CssConfig,
@@ -46,6 +45,7 @@ from .encoder import (
     save_weights,
     train_contrastive,
 )
+from .loading import convert, read_json, text_builder
 from .evaluation import (
     MissingGroundTruth,
     build_report,
@@ -116,8 +116,6 @@ class RunConfig:
 
 # seeds derived per run or per query, never read from the file
 _DERIVED = {(PromptConfig, "shuffle_candidates_seed"), (CssConfig, "seed")}
-# field types the file writes as strings
-_FROM_TEXT = (Path, Strategy, Enum)
 
 
 def _file_keys(cls: type) -> Iterator[str]:
@@ -130,11 +128,6 @@ def _file_keys(cls: type) -> Iterator[str]:
 
 
 _TOP_KEYS = set(_file_keys(RunConfig))
-
-
-def _check_exists(label: str, path: Path | None) -> None:
-    if path is not None and not path.exists():
-        raise ConfigError(f"{label} file does not exist: {path}")
 
 
 def load_run_config(
@@ -150,20 +143,13 @@ def load_run_config(
     """
     data: dict = {}
     if path is not None:
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file does not exist: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: config is not valid JSON: {exc}")
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
+        data = convert(read_json(path, ConfigError), dict, f"{path}: config", ConfigError)
     data.update((key, value) for key, value in overrides.items() if value is not None)
     cfg = _build(RunConfig(), data)
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(value, Path) and f.name not in skip_exists:
-            _check_exists(f.name, value)
+        if isinstance(value, Path) and f.name not in skip_exists and not value.exists():
+            raise ConfigError(f"{f.name} file does not exist: {value}")
     return cfg
 
 
@@ -187,19 +173,16 @@ def _build(template: Any, data: dict, where: str = "") -> Any:
             continue
         elif key == "backend.mock_script":
             # the file names a script; the field holds the rules read from it
-            script = _convert(rest.pop(f.name), Path | None, key)
-            _check_exists("mock script", script)
+            script = convert(rest.pop(f.name), Path | None, key, ConfigError)
             try:
                 values[f.name] = load_mock_script(script) if script else ()
             except ValueError as exc:
                 raise ConfigError(str(exc))
-        elif is_dataclass(kind) and not issubclass(kind, _FROM_TEXT):
-            value = rest.pop(f.name)
-            if type(value) is not dict:
-                raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+        elif is_dataclass(kind) and text_builder(kind) is None:
+            value = convert(rest.pop(f.name), dict, key, ConfigError)
             values[f.name] = _build(getattr(template, f.name), value, key + ".")
         else:
-            values[f.name] = _convert(rest.pop(f.name), kind, key)
+            values[f.name] = convert(rest.pop(f.name), kind, key, ConfigError)
     if rest:
         raise ConfigError(f"unknown config keys {sorted(where + k for k in rest)}")
     try:
@@ -208,52 +191,12 @@ def _build(template: Any, data: dict, where: str = "") -> Any:
         raise ConfigError(f"{where[:-1]}: {exc}" if where else str(exc))
 
 
-def _convert(value: Any, kind: Any, key: str) -> Any:
-    """One file value as a field of annotated type kind; key spells it as the file does."""
-    if type(None) in get_args(kind):  # X | None
-        if value is None:
-            return None
-        (kind,) = set(get_args(kind)) - {type(None)}
-    if get_origin(kind) is tuple:  # tuple[X, ...]
-        if type(value) is not list:
-            raise ConfigError(f"{key} must be a JSON list, got {value!r}")
-        item = get_args(kind)[0]
-        return tuple(_convert(v, item, f"{key}[{i}]") for i, v in enumerate(value))
-    text = issubclass(kind, _FROM_TEXT)
-    wanted = str if text else kind
-    # type(), not isinstance(): a JSON true is not an integer here.  A
-    # float field keeps a JSON integer as given.
-    if type(value) is not wanted and not (kind is float and type(value) is int):
-        raise ConfigError(f"{key} must be of type {wanted.__name__}, got {value!r}")
-    if not text:
-        return value
-    try:
-        return Strategy.parse(value) if kind is Strategy else kind(value)
-    except ValueError as exc:
-        valid = f"; valid: {sorted(m.value for m in kind)}" if issubclass(kind, Enum) else ""
-        raise ConfigError(f"{key}: {exc}{valid}")
-
-
 def _require(cfg: RunConfig, *names: str) -> None:
     missing = [n for n in names if getattr(cfg, n) is None]
     if missing:
         raise ConfigError(
             f"this command needs config paths: {', '.join(missing)}"
         )
-
-
-def _load_iupac(cfg: RunConfig) -> dict[str, str] | None:
-    if cfg.iupac is None:
-        return None
-    try:
-        table = json.loads(cfg.iupac.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{cfg.iupac}: iupac table is not valid JSON: {exc}")
-    if not isinstance(table, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in table.items()
-    ):
-        raise ConfigError(f"{cfg.iupac}: iupac table must map SMILES to names")
-    return table
 
 
 @dataclass(frozen=True)
@@ -275,7 +218,8 @@ class _Inputs:
         corpus = load_index(cfg.index)
         train = load_dataset(cfg.dataset)
         records = load_dataset(eval_dataset) if eval_dataset else train
-        iupac_table = _load_iupac(cfg)
+        table = cfg.iupac and read_json(cfg.iupac, ConfigError)
+        iupac_table = convert(table, dict[str, str] | None, f"{cfg.iupac}: iupac", ConfigError)
         templates = TemplateSet.load(cfg.templates) if cfg.templates else None
         return cls(weights, corpus, train, records, iupac_table, templates)
 

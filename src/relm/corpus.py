@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .encoder import Embedding, GnnWeights, embed_set
+from .loading import convert, convert_fields, decode_json, read_file, read_json
 from .molgraph import FeatureConfig, MolecularGraph, SmilesError, parse_smiles
 from .molgraph.canonical import canonical_key
 
@@ -98,42 +99,16 @@ def molecules_key(graphs: Sequence[MolecularGraph]) -> tuple[str, ...]:
     return tuple(sorted(canonical_key(g) for g in graphs))
 
 
-_RECORD_FIELDS = {f.name for f in fields(ReactionRecord)}
-
-
 def _record_from_dict(
     data: dict, where: str, require_products: bool = True
 ) -> ReactionRecord:
-    if not isinstance(data, dict):
-        raise DatasetError(f"{where}: record must be a JSON object")
-    unknown = set(data) - _RECORD_FIELDS
-    if unknown:
-        raise DatasetError(f"{where}: unknown keys {sorted(unknown)}")
-    for key in ("id",):
-        if key not in data:
-            raise DatasetError(f"{where}: missing key {key!r}")
-    if not isinstance(data["id"], str):
-        raise DatasetError(f"{where}: id must be a string")
-    for side in ("reactants", "products"):
-        value = data.get(side, [])
-        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-            raise DatasetError(f"{where}: {side} must be a list of strings")
-    for key in ("condition", "reaction_type"):
-        if data.get(key) is not None and not isinstance(data[key], str):
-            raise DatasetError(f"{where}: {key} must be a string or null")
-    iupac = data.get("iupac")
-    if iupac is not None and (
-        not isinstance(iupac, dict)
-        or not all(isinstance(k, str) and isinstance(v, str) for k, v in iupac.items())
-    ):
-        raise DatasetError(f"{where}: iupac must map SMILES strings to names")
+    data = convert(data, dict, f"{where}: record", DatasetError)
+    values = convert_fields(data, ReactionRecord, f"{where}: ", DatasetError)
+    if "id" not in data:
+        raise DatasetError(f"{where}: missing key 'id'")
+    # the file may leave out either side; an empty iupac table is no table
     record = ReactionRecord(
-        id=data["id"],
-        reactants=tuple(data.get("reactants", [])),
-        products=tuple(data.get("products", [])),
-        condition=data.get("condition"),
-        reaction_type=data.get("reaction_type"),
-        iupac=dict(iupac) if iupac else None,
+        **{"reactants": (), "products": (), **values, "iupac": values.get("iupac") or None}
     )
     if require_products and not record.products:
         raise DatasetError(f"{where}: record {record.id!r} has no products")
@@ -152,27 +127,18 @@ def load_record(path: str | Path, require_products: bool = False) -> ReactionRec
 
     Products are optional here: a pure prediction query has none yet.
     """
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
-    return _record_from_dict(data, str(path), require_products=require_products)
+    return _record_from_dict(read_json(path, DatasetError), str(path), require_products)
 
 
 def load_dataset(path: str | Path) -> list[ReactionRecord]:
     """Read a JSONL reaction dataset, validating every record."""
     records: list[ReactionRecord] = []
     seen_ids: set[str] = set()
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_file(path, DatasetError).splitlines(), start=1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{where}: not valid JSON: {exc}") from exc
-        record = _record_from_dict(data, where)
+        record = _record_from_dict(decode_json(line, where, DatasetError), where)
         if record.id in seen_ids:
             raise DatasetError(f"{where}: duplicate record id {record.id!r}")
         seen_ids.add(record.id)
@@ -215,11 +181,6 @@ class CorpusEntry:
     products: tuple[str, ...]
     embedding: Embedding
     keys: tuple[str, ...]
-    all_ids: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.all_ids:
-            object.__setattr__(self, "all_ids", (self.entry_id,))
 
 
 @dataclass
@@ -287,12 +248,11 @@ def build_index(
     """Embed and deduplicate product sets into a corpus.
 
     Product sets with identical structural key multisets collapse into a
-    single entry that remembers every contributing id.
+    single entry under the first contributing id.
     """
     if not product_sets:
         raise EmptyCorpus("no product sets given")
-    by_key: dict[tuple[str, ...], dict] = {}
-    order: list[tuple[str, ...]] = []
+    by_key: dict[tuple[str, ...], CorpusEntry] = {}
     seen_ids: set[str] = set()
     for set_id, smiles_list in product_sets:
         if set_id in seen_ids:
@@ -307,26 +267,10 @@ def build_index(
                 f"product set {set_id!r} has unparseable SMILES: {exc}"
             ) from exc
         key = molecules_key(graphs)
-        if key in by_key:
-            by_key[key]["ids"].append(set_id)
-            continue
-        by_key[key] = {
-            "ids": [set_id],
-            "products": tuple(smiles_list),
-            "embedding": embed_set(graphs, weights, feature_cfg),
-        }
-        order.append(key)
-    entries = tuple(
-        CorpusEntry(
-            entry_id=by_key[key]["ids"][0],
-            products=by_key[key]["products"],
-            embedding=by_key[key]["embedding"],
-            keys=key,
-            all_ids=tuple(by_key[key]["ids"]),
-        )
-        for key in order
-    )
-    return ProductCorpus(entries=entries, fingerprint=weights.fingerprint())
+        if key not in by_key:
+            embedding = embed_set(graphs, weights, feature_cfg)
+            by_key[key] = CorpusEntry(set_id, tuple(smiles_list), embedding, key)
+    return ProductCorpus(entries=tuple(by_key.values()), fingerprint=weights.fingerprint())
 
 
 def corpus_from_records(
@@ -409,38 +353,37 @@ def save_index(corpus: ProductCorpus, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> ProductCorpus:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}: index is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or set(payload) != {"fingerprint", "entries"}:
+    payload = convert(read_json(path, DatasetError), dict, f"{path}: index", DatasetError)
+    if set(payload) != {"fingerprint", "entries"}:
         raise DatasetError(f"{path}: index must have 'fingerprint' and 'entries'")
-    if not isinstance(payload["fingerprint"], str):
-        raise DatasetError(f"{path}: fingerprint must be a string")
-    entries = []
-    for idx, raw in enumerate(payload["entries"]):
+    fingerprint = convert(payload["fingerprint"], str, f"{path}: fingerprint", DatasetError)
+    raw_entries = convert(payload["entries"], list, f"{path}: entries", DatasetError)
+    entries: dict[str, CorpusEntry] = {}
+    for idx, raw in enumerate(raw_entries):
         where = f"{path}: entry {idx}"
         if not isinstance(raw, dict) or set(raw) != {"id", "products", "embedding"}:
             raise DatasetError(f"{where}: needs exactly id, products, embedding")
-        if not isinstance(raw["products"], list) or not raw["products"]:
+        entry_id = convert(raw["id"], str, f"{where}: id", DatasetError)
+        if entry_id in entries:
+            raise DatasetError(f"{where}: duplicate entry id {entry_id!r}")
+        products = convert(raw["products"], tuple[str, ...], f"{where}: products", DatasetError)
+        if not products:
             raise DatasetError(f"{where}: products must be a non-empty list")
         try:
-            graphs = parse_side(raw["products"])
+            graphs = parse_side(products)
         except SmilesError as exc:
             raise DatasetError(f"{where}: unparseable product SMILES: {exc}") from exc
-        if not isinstance(raw["embedding"], list):
-            raise DatasetError(f"{where}: embedding must be a list of numbers")
-        entries.append(
-            CorpusEntry(
-                entry_id=raw["id"],
-                products=tuple(raw["products"]),
-                embedding=Embedding(np.array(raw["embedding"], dtype=np.float64)),
-                keys=molecules_key(graphs),
-            )
-        )
+        try:
+            # one conversion per entry; Embedding rejects non-1-D and non-finite
+            embedding = Embedding(np.array(raw["embedding"], dtype=np.float64))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DatasetError(
+                f"{where}: embedding must be a list of finite numbers: {exc}"
+            ) from exc
+        entries[entry_id] = CorpusEntry(entry_id, products, embedding, molecules_key(graphs))
     if not entries:
         raise EmptyCorpus(f"{path}: index has no entries")
-    return ProductCorpus(entries=tuple(entries), fingerprint=payload["fingerprint"])
+    return ProductCorpus(entries=tuple(entries.values()), fingerprint=fingerprint)
 
 
 # ---- in-context examples ----

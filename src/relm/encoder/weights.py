@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..loading import convert, convert_fields, read_json
 from .model import EncoderConfig, ShapeMismatch
 
 
@@ -90,12 +91,11 @@ def random_init(config: EncoderConfig, seed: int) -> GnnWeights:
 def _config_from_dict(data: dict) -> EncoderConfig:
     expected = {f.name for f in fields(EncoderConfig)}
     if not isinstance(data, dict) or set(data) != expected:
-        raise FormatError(
-            f"weight config must have exactly the keys {sorted(expected)}"
-        )
+        raise FormatError(f"weight config must have exactly the keys {sorted(expected)}")
+    values = convert_fields(data, EncoderConfig, "config.", FormatError)
     try:
-        return EncoderConfig(**data)
-    except (TypeError, ValueError) as exc:
+        return EncoderConfig(**values)
+    except ValueError as exc:
         raise FormatError(f"bad encoder config: {exc}") from exc
 
 
@@ -114,48 +114,27 @@ def save_weights(weights: GnnWeights, path: str | Path) -> None:
 
 
 def load_weights(path: str | Path) -> GnnWeights:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"weight file is not valid JSON: {exc}") from exc
+    payload = read_json(path, FormatError)
     if not isinstance(payload, dict) or set(payload) != {"config", "layers"}:
         raise FormatError("weight file must have exactly 'config' and 'layers'")
     config = _config_from_dict(payload["config"])
-    raw_layers = payload["layers"]
-    if not isinstance(raw_layers, list):
-        raise FormatError("'layers' must be a list")
     layers = []
-    for layer_idx, hops in enumerate(raw_layers):
-        if not isinstance(hops, list):
-            raise FormatError(f"layer {layer_idx} must be a list of matrices")
+    for layer_idx, hops in enumerate(convert(payload["layers"], list, "layers", FormatError)):
         matrices = []
-        for hop_idx, entry in enumerate(hops):
+        for hop_idx, entry in enumerate(convert(hops, list, f"layer {layer_idx}", FormatError)):
+            where = f"layer {layer_idx} hop {hop_idx}"
             if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
-                raise FormatError(
-                    f"layer {layer_idx} hop {hop_idx} must have 'shape' and 'data'"
-                )
-            shape = entry["shape"]
-            data = entry["data"]
-            if (
-                not isinstance(shape, list)
-                or len(shape) != 2
-                or not all(isinstance(s, int) and s > 0 for s in shape)
-            ):
-                raise FormatError(
-                    f"layer {layer_idx} hop {hop_idx} shape must be two positive ints"
-                )
-            if not isinstance(data, list) or len(data) != shape[0] * shape[1]:
-                raise ShapeError(
-                    f"layer {layer_idx} hop {hop_idx} declares shape {shape} "
-                    f"but carries {len(data) if isinstance(data, list) else '?'} values"
-                )
+                raise FormatError(f"{where} must have 'shape' and 'data'")
+            shape = convert(entry["shape"], tuple[int, ...], f"{where} shape", FormatError)
+            data = convert(entry["data"], list, f"{where} data", FormatError)
+            if len(shape) != 2 or min(shape) < 1:
+                raise FormatError(f"{where} shape must be two positive ints")
+            if len(data) != shape[0] * shape[1]:
+                raise ShapeError(f"{where} declares shape {shape}, carries {len(data)} values")
             try:
-                w = np.array(data, dtype=np.float64).reshape(shape)
+                matrices.append(np.array(data, dtype=np.float64).reshape(shape))
             except (TypeError, ValueError) as exc:
-                raise FormatError(
-                    f"layer {layer_idx} hop {hop_idx} data is not numeric: {exc}"
-                ) from exc
-            matrices.append(w)
+                raise FormatError(f"{where} data is not numeric: {exc}") from exc
         layers.append(matrices)
     try:
         return GnnWeights(config=config, layers=layers)

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Sequence
 
 import requests
 
@@ -36,6 +36,7 @@ from .corpus import (
     top_k_candidates,
 )
 from .encoder import GnnWeights, embed_set
+from .loading import convert, convert_fields, read_json
 from .molgraph import FeatureConfig
 from .prompt import (
     AnswerSchema,
@@ -106,31 +107,16 @@ class MockRule:
 
 
 def load_mock_script(path: str | Path) -> tuple[MockRule, ...]:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: mock script is not valid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: mock script must be a JSON list")
-    hints = get_type_hints(MockRule)
+    data = convert(read_json(path, ValueError), list, f"{path}: mock script", ValueError)
     required = {f.name for f in fields(MockRule) if f.default is MISSING}
     rules = []
     for idx, raw in enumerate(data):
         if not isinstance(raw, dict) or not required <= set(raw):
             needed = " and ".join(repr(k) for k in sorted(required))
             raise ValueError(f"{path}: rule {idx} needs {needed}")
-        extra = set(raw) - set(hints)
-        if extra:
-            raise ValueError(f"{path}: rule {idx} has unknown keys {sorted(extra)}")
-        for name, value in raw.items():
-            # type(), not isinstance(): a JSON true is not an integer here
-            if type(value) is not hints[name]:
-                raise ValueError(
-                    f"{path}: rule {idx} {name} must be of type "
-                    f"{hints[name].__name__}, got {value!r}"
-                )
+        values = convert_fields(raw, MockRule, f"{path}: rule {idx} ", ValueError)
         try:
-            rules.append(MockRule(**raw))
+            rules.append(MockRule(**values))
         except ValueError as exc:
             raise ValueError(f"{path}: rule {idx}: {exc}") from exc
     return tuple(rules)

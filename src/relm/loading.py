@@ -1,0 +1,149 @@
+"""Input files: one reader and one check of JSON values against field types.
+
+A file that cannot be read, is not UTF-8 or is not JSON, and a value
+whose type does not fit the field it fills, raise the caller's own
+error type with the path or key in the message.
+"""
+
+from __future__ import annotations
+
+import json
+import reprlib
+from enum import Enum
+from functools import cache
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
+
+def read_file(path: str | Path, error: type[Exception]) -> str:
+    """The text of a UTF-8 file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def decode_json(text: str, where: str, error: type[Exception]) -> Any:
+    """One JSON document; where names it in the error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: not valid JSON: {exc}") from exc
+
+
+def read_json(path: str | Path, error: type[Exception]) -> Any:
+    """The JSON document in a UTF-8 file."""
+    return decode_json(read_file(path, error), str(path), error)
+
+
+def text_builder(kind: Any) -> Callable[[str], Any] | None:
+    """How a field of type kind is built from a JSON string, or None.
+
+    Path and the enums take the string; a class with a parse method parses it."""
+    if isinstance(kind, type) and issubclass(kind, (Path, Enum)):
+        return kind
+    return getattr(kind, "parse", None)
+
+
+def convert(value: Any, kind: Any, key: str, error: type[Exception]) -> Any:
+    """A JSON value as a field of annotated type kind; key spells it in errors.
+
+    X | None takes null, tuple[X, ...] a list, dict[str, X] an object and
+    a type text_builder knows a string.  Any other type must match
+    exactly (type(), not isinstance(): a JSON true is not an integer),
+    but a float field keeps a JSON integer as given.
+    """
+    try:
+        return _converter(kind)(value)
+    except _Mismatch as exc:
+        raise error(f"{key}{exc}") from None
+
+
+def convert_fields(data: dict, cls: type, prefix: str, error: type[Exception]) -> dict:
+    """A JSON object's values as fields of dataclass cls; prefix + name spells each key."""
+    checks = _field_checks(cls)
+    unknown = data.keys() - checks.keys()
+    if unknown:
+        raise error(f"{prefix}unknown keys {sorted(unknown)}")
+    values = {}
+    try:
+        for name, value in data.items():
+            values[name] = checks[name](value)
+    except _Mismatch as exc:
+        raise error(f"{prefix}{name}{exc}") from None
+    return values
+
+
+@cache
+def _field_checks(cls: type) -> dict[str, Callable[[Any], Any]]:
+    return {name: _converter(kind) for name, kind in get_type_hints(cls).items()}
+
+
+class _Mismatch(Exception):
+    """A value that does not fit; its text follows the key in the message."""
+
+
+def _mismatch(value: Any, kind: type) -> _Mismatch:
+    wanted = {list: "a JSON list", dict: "a JSON object"}.get(kind, f"of type {kind.__name__}")
+    return _Mismatch(f" must be {wanted}, got {reprlib.repr(value)}")
+
+
+def _each(check: Callable[[Any], Any], items: Iterable[tuple[Any, Any]]) -> Iterator[Any]:
+    for label, value in items:
+        try:
+            yield check(value)
+        except _Mismatch as exc:
+            raise _Mismatch(f"[{label!r}]{exc}") from None
+
+
+# built once per type, and a key is spelled only for a value that fails:
+# loaders check every field of every record
+@cache
+def _converter(kind: Any) -> Callable[[Any], Any]:
+    args, origin = get_args(kind), get_origin(kind)
+    if type(None) in args:  # X | None
+        (inner,) = set(args) - {type(None)}
+        check = _converter(inner)
+        return lambda value: None if value is None else check(value)
+    if origin is tuple:  # tuple[X, ...]
+        item = _converter(args[0])
+
+        def to_tuple(value: Any) -> tuple:
+            if type(value) is not list:
+                raise _mismatch(value, list)
+            try:
+                return tuple(map(item, value))
+            except _Mismatch:  # again, naming the item that fails
+                return tuple(_each(item, enumerate(value)))
+
+        return to_tuple
+    if origin is dict:  # dict[str, X]; JSON object keys are always strings
+        entry = _converter(args[1])
+
+        def to_dict(value: Any) -> dict:
+            if type(value) is not dict:
+                raise _mismatch(value, dict)
+            return dict(zip(value, _each(entry, value.items())))
+
+        return to_dict
+    build = text_builder(kind)
+    if build is None:
+        def exact(value: Any) -> Any:
+            if type(value) is kind or (kind is float and type(value) is int):
+                return value
+            raise _mismatch(value, kind)
+
+        return exact
+
+    def from_text(value: Any) -> Any:
+        if type(value) is not str:
+            raise _mismatch(value, str)
+        try:
+            return build(value)
+        except ValueError as exc:
+            enum = issubclass(kind, Enum)
+            valid = f"; valid: {sorted(m.value for m in kind)}" if enum else ""
+            raise _Mismatch(f": {exc}{valid}") from None
+
+    return from_text

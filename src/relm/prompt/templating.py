@@ -15,6 +15,8 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
+from ..loading import read_file
+
 
 class TemplateError(ValueError):
     """Raised for unknown slots, bad placeholders or unreadable files."""
@@ -125,14 +127,9 @@ class TemplateSet:
     @classmethod
     def load(cls, directory: str | Path) -> "TemplateSet":
         root = Path(directory)
-        if not root.is_dir():
-            raise TemplateError(f"{root}: not a template directory")
         loaded = []
         for slot in sorted(SLOT_PLACEHOLDERS):
-            path = root / f"{slot}.txt"
-            if not path.is_file():
-                raise TemplateError(f"{path}: template file is missing")
-            text = path.read_text(encoding="utf-8")
+            text = read_file(root / f"{slot}.txt", TemplateError)
             loaded.append((slot, _validate(slot, text)))
         return cls(templates=tuple(loaded))
 

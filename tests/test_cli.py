@@ -306,6 +306,46 @@ def test_every_config_key_checks_its_type(workspace, tmp_path, capsys, key):
     assert key in err
 
 
+@pytest.mark.parametrize(
+    "edits,flags,content",
+    [
+        ({}, ["--config", "BAD"], None),
+        ({"weights": "BAD"}, [], None),
+        ({"index": "BAD"}, [], None),
+        ({"dataset": "BAD"}, [], None),
+        ({"iupac": "BAD"}, [], None),
+        ({"backend": {"kind": "mock", "mock_script": "BAD"}}, [], None),
+        ({}, ["--reaction", "BAD"], None),
+        ({}, ["--eval-dataset", "BAD"], None),
+        ({"dataset": "BAD"}, [], b'{"id": "caf\xe9", "reactants": ["C"], "products": ["C"]}\n'),
+    ],
+    ids=[
+        "config", "weights", "index", "dataset", "iupac", "mock_script", "reaction",
+        "eval_dataset", "latin1_dataset",
+    ],
+)
+def test_unreadable_input_file_exits_2(workspace, tmp_path, capsys, edits, flags, content):
+    # BAD is a directory, or a file holding content (here not UTF-8)
+    ws, base, _ = workspace
+    bad = tmp_path / "bad_input"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    edits = json.loads(json.dumps(edits).replace('"BAD"', json.dumps(str(bad))))
+    flags = [str(bad) if flag == "BAD" else flag for flag in flags]
+    cfg_path = write_config(tmp_path / "cfg.json", base, **edits)
+    if "--eval-dataset" in flags:
+        command = ["evaluate", "--out-dir", str(tmp_path / "reports")]
+    else:
+        command = ["predict", "--reaction", str(ws / "query.json")]
+    code = main([*command, "--config", cfg_path, *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "internal error" not in err
+    assert str(bad) in err
+
+
 def test_missing_referenced_file_exits_2(workspace, tmp_path, capsys):
     ws, base, _ = workspace
     cfg_path = write_config(

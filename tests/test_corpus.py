@@ -113,9 +113,9 @@ def test_dataset_round_trip(tmp_path):
         ("[1, 2]", "JSON object"),
         ('{"id": "r", "products": ["C"], "reactants": ["C"], "extra": 1}', "unknown keys"),
         ('{"reactants": ["C"], "products": ["C"]}', "missing key 'id'"),
-        ('{"id": 3, "reactants": ["C"], "products": ["C"]}', "id must be a string"),
-        ('{"id": "r", "reactants": "C", "products": ["C"]}', "list of strings"),
-        ('{"id": "r", "reactants": [1], "products": ["C"]}', "list of strings"),
+        ('{"id": 3, "reactants": ["C"], "products": ["C"]}', "id must be of type str, got 3"),
+        ('{"id": "r", "reactants": "C", "products": ["C"]}', "reactants must be a JSON list"),
+        ('{"id": "r", "reactants": [1], "products": ["C"]}', "reactants[0] must be of type str"),
         ('{"id": "r", "reactants": ["C"]}', "has no products"),
         ('{"id": "r", "reactants": ["C"], "products": []}', "has no products"),
         ('{"id": "r", "reactants": ["C("], "products": ["C"]}', "unparseable"),
@@ -161,9 +161,6 @@ def test_build_index_deduplicates_by_structure():
         FEATURE_CFG,
     )
     assert [e.entry_id for e in corpus.entries] == ["a", "c", "d"]
-    assert corpus.entries[0].all_ids == ("a", "b")
-    assert corpus.entries[1].all_ids == ("c",)
-    assert corpus.entries[2].all_ids == ("d", "e")
     assert corpus.fingerprint == weights.fingerprint()
 
 
@@ -319,3 +316,9 @@ def test_load_index_rejects_malformed_files(tmp_path):
     expect_error({**payload, "entries": [{**entry, "products": []}]})
     expect_error({**payload, "entries": [{**entry, "products": ["C(("]}]})
     expect_error({**payload, "entries": [{**entry, "embedding": "zero"}]})
+    expect_error({**payload, "entries": 5})
+    expect_error({**payload, "entries": [{**entry, "id": 5}]})
+    expect_error({**payload, "entries": [{**entry, "products": [5]}]})
+    expect_error({**payload, "entries": [{**entry, "embedding": ["x"] * len(entry["embedding"])}]})
+    expect_error({**payload, "entries": [{**entry, "embedding": [float("inf")] * len(entry["embedding"])}]})
+    expect_error({**payload, "entries": [entry, entry]})

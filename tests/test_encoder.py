@@ -312,3 +312,11 @@ def test_load_weights_rejects_malformed_files(tmp_path):
     path.write_text(json.dumps(wrong_shape))
     with pytest.raises(ShapeError):
         load_weights(path)
+
+    embed_dim = payload["config"]["embed_dim"]
+    for mistyped in (float(embed_dim), str(embed_dim), True):
+        bad_config = json.loads(json.dumps(payload))
+        bad_config["config"]["embed_dim"] = mistyped
+        path.write_text(json.dumps(bad_config))
+        with pytest.raises(FormatError, match=r"config\.embed_dim must be of type int"):
+            load_weights(path)

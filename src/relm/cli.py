@@ -27,6 +27,7 @@ from .corpus import (
     NotEnoughCandidates,
     ProductCorpus,
     ReactionRecord,
+    RetrievalState,
     corpus_from_records,
     load_dataset,
     load_index,
@@ -45,9 +46,10 @@ from .encoder import (
     save_weights,
     train_contrastive,
 )
-from .loading import convert, read_json, text_builder
+from .loading import convert, make_dir, read_json, text_builder, write_file
 from .evaluation import (
     MissingGroundTruth,
+    ReportError,
     build_report,
     check_ground_truth,
     compare_strategies,
@@ -224,18 +226,20 @@ class _Inputs:
         return cls(weights, corpus, train, records, iupac_table, templates)
 
     def pipelines(self, cfg: RunConfig, ks: Sequence[int]) -> Iterator[Pipeline]:
-        """One pipeline per K."""
+        """One pipeline per K, all on one retrieval state."""
+        state = RetrievalState(self.corpus, self.train, self.weights, FeatureConfig())
         for k in ks:
             yield Pipeline(
                 self.corpus,
                 self.train,
                 self.weights,
-                FeatureConfig(),
+                state.feature_cfg,
                 replace(cfg.prompt_config(), k=k),
                 cfg.backend,
                 iupac_table=self.iupac_table,
                 templates=self.templates,
                 seed=cfg.seed,
+                state=state,
             )
 
 
@@ -259,8 +263,8 @@ def cmd_build_index(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     """predict; inspect-prompt is its dry run plus a summary on stderr."""
     cfg = load_run_config(args.config, _overrides(args))
+    record = load_record(args.reaction)  # before the pipeline embeds the training set
     (pipeline,) = _Inputs.load(cfg).pipelines(cfg, [cfg.prompt.k])
-    record = load_record(args.reaction)
     if args.dry_run:
         prompt = pipeline.render_prompt(record)
         print(prompt.text)
@@ -317,7 +321,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad --k value: {exc}")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_dir(out_dir, ConfigError)
     for k, pipeline in zip(ks, inputs.pipelines(cfg, ks)):
         results = run_dataset(pipeline, inputs.records, cfg.max_concurrency)
         report = build_report(
@@ -414,10 +418,8 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         )
         return 1
     save_weights(result.weights, args.out_weights)
-    with open(args.out_trace, "w", encoding="utf-8", newline="") as handle:
-        handle.write("epoch,loss\n")
-        for epoch, loss in enumerate(result.loss_trace):
-            handle.write(f"{epoch},{loss!r}\n")
+    trace = "".join(f"{epoch},{loss!r}\n" for epoch, loss in enumerate(result.loss_trace))
+    write_file(args.out_trace, "epoch,loss\n" + trace, ConfigError)
     corpus = corpus_from_records(records, result.weights, feature_cfg)
     score = hit_at_k(records, corpus, result.weights, feature_cfg, 1)
     print(f"wrote {args.out_weights} and {args.out_trace}")
@@ -510,6 +512,7 @@ _USER_ERRORS = (
     SmilesError,
     EmptyCorpus,
     MissingGroundTruth,
+    ReportError,
     AuthFailure,
     FingerprintMismatch,
     FileNotFoundError,

@@ -1,10 +1,16 @@
 """Reaction datasets, the product corpus, retrieval and context assembly.
 
 The corpus holds every known product set with a precomputed embedding.
-Retrieval is an exhaustive nearest-neighbor scan by Euclidean distance
-(ties broken by id), which at the intended corpus scale doubles as its
-own reference answer.  In-context examples pair a training reaction with
-its own candidate list; the confidence perturbation rewrites exactly
+Retrieval is exact flat search in one kernel, ``top_k_by_embedding``:
+Euclidean distances from each entry's difference to the query (not the
+``|a|^2 - 2a.b + |b|^2`` expansion, which rounds differently), every
+entry at or below the k-th smallest distance (``np.partition``, so all
+ties there compete), ordered by (distance, entry id in Python string
+order) with ``np.lexsort``.  A ``RetrievalState`` holds what one command
+computes once for every query, K and strategy: the training set's
+embeddings and one candidate cache per k.  In-context examples pair a
+training reaction with its own candidate list; the confidence
+perturbation rewrites exactly
 ``num_perturbed`` of them to show a wrong answer with low confidence
 while the rest keep the true answer with high confidence.
 """
@@ -14,6 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+from collections import abc
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -21,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .encoder import Embedding, GnnWeights, embed_set
-from .loading import convert, convert_fields, decode_json, read_file, read_json
+from .loading import convert, convert_fields, decode_json, read_file, read_json, write_file
 from .molgraph import FeatureConfig, MolecularGraph, SmilesError, parse_smiles
 from .molgraph.canonical import canonical_key
 
@@ -159,7 +166,7 @@ def save_dataset(records: Sequence[ReactionRecord], path: str | Path) -> None:
         if r.iupac:
             data["iupac"] = dict(sorted(r.iupac.items()))
         lines.append(json.dumps(data, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, "\n".join(lines) + "\n", DatasetError)
 
 
 # ---- embeddings and the corpus ----
@@ -175,6 +182,13 @@ def cosine(a: Embedding, b: Embedding) -> float:
     return float(np.dot(a.values, b.values) / (norm_a * norm_b))
 
 
+def _rank(keys: Sequence[str]) -> np.ndarray:
+    """Each key's position in sorted order; equal keys keep their input order."""
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return rank
+
+
 @dataclass(frozen=True)
 class CorpusEntry:
     entry_id: str
@@ -188,6 +202,7 @@ class ProductCorpus:
     entries: tuple[CorpusEntry, ...]
     fingerprint: str
     _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _id_rank: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -204,6 +219,12 @@ class ProductCorpus:
         if self._matrix is None:
             self._matrix = np.stack([e.embedding.values for e in self.entries])
         return self._matrix
+
+    def id_rank(self) -> np.ndarray:
+        """Each entry's position in entry-id order."""
+        if self._id_rank is None:
+            self._id_rank = _rank([e.entry_id for e in self.entries])
+        return self._id_rank
 
     def key_set(self) -> set[tuple[str, ...]]:
         return {e.keys for e in self.entries}
@@ -300,24 +321,24 @@ def top_k_by_embedding(query: Embedding, corpus: ProductCorpus, k: int) -> Candi
         )
     diffs = corpus.matrix() - query.values
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    order = sorted(
-        range(len(corpus.entries)),
-        key=lambda i: (dists[i], corpus.entries[i].entry_id),
-    )
-    if len(order) < k:
+    chosen = np.arange(len(dists))
+    if len(dists) < k:
         logger.info(
-            "requested k=%d but the corpus has only %d entries", k, len(order)
+            "requested k=%d but the corpus has only %d entries", k, len(dists)
         )
-    chosen = order[:k]
+    elif len(dists) > k:
+        chosen = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+    chosen = chosen[np.lexsort((corpus.id_rank()[chosen], dists[chosen]))][:k]
+    entries = corpus.entries
     return CandidateList(
         entries=tuple(
             Candidate(
-                entry_id=corpus.entries[i].entry_id,
+                entry_id=entries[i].entry_id,
                 distance=float(dists[i]),
-                products=corpus.entries[i].products,
-                keys=corpus.entries[i].keys,
+                products=entries[i].products,
+                keys=entries[i].keys,
             )
-            for i in chosen
+            for i in chosen.tolist()
         ),
         k=k,
     )
@@ -349,7 +370,7 @@ def save_index(corpus: ProductCorpus, path: str | Path) -> None:
             for e in corpus.entries
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_file(path, json.dumps(payload, indent=2) + "\n", DatasetError)
 
 
 def load_index(path: str | Path) -> ProductCorpus:
@@ -373,13 +394,11 @@ def load_index(path: str | Path) -> ProductCorpus:
             graphs = parse_side(products)
         except SmilesError as exc:
             raise DatasetError(f"{where}: unparseable product SMILES: {exc}") from exc
+        values = convert(raw["embedding"], tuple[float, ...], f"{where}: embedding", DatasetError)
         try:
-            # one conversion per entry; Embedding rejects non-1-D and non-finite
-            embedding = Embedding(np.array(raw["embedding"], dtype=np.float64))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DatasetError(
-                f"{where}: embedding must be a list of finite numbers: {exc}"
-            ) from exc
+            embedding = Embedding(np.array(values, dtype=np.float64))
+        except (ValueError, OverflowError) as exc:  # non-finite, or an int past float range
+            raise DatasetError(f"{where}: embedding must be finite numbers: {exc}") from exc
         entries[entry_id] = CorpusEntry(entry_id, products, embedding, molecules_key(graphs))
     if not entries:
         raise EmptyCorpus(f"{path}: index has no entries")
@@ -440,6 +459,59 @@ class CssConfig:
             raise ValueError("num_perturbed must be >= 0")
 
 
+class TrainingEmbeddings(abc.Sequence):
+    """A training set's reactant embeddings as one matrix, indexed like the
+    records, with what select_examples needs of each row computed once:
+    its norm (as ``cosine`` takes it) and the rank of its record id."""
+
+    def __init__(self, train: Sequence[ReactionRecord], embeddings: Sequence[Embedding]):
+        if len({e.dim for e in embeddings}) > 1:
+            raise DimMismatch("training embeddings mix dims")
+        self.matrix = np.array([e.values for e in embeddings], dtype=np.float64)
+        self.norms = np.array([np.sqrt(np.dot(row, row)) for row in self.matrix])
+        self.ids = np.array([r.id for r in train], dtype=str)
+        self.id_rank = _rank(self.ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+    def __getitem__(self, idx: int) -> Embedding:
+        return Embedding(self.matrix[idx])
+
+
+@dataclass(eq=False)
+class RetrievalState:
+    """What retrieval computes once per command, for every query, K and strategy.
+
+    The training set's reactant embeddings are made on the first call of
+    ``embeddings()``, so a command whose strategies show no examples never
+    makes them.  Each k has one cache of training records' candidate
+    lists.  Both hold pure values, so pipelines and threads share them
+    without a lock.
+    """
+
+    corpus: ProductCorpus
+    train: Sequence[ReactionRecord]
+    weights: GnnWeights
+    feature_cfg: FeatureConfig
+    _embeddings: TrainingEmbeddings | None = field(default=None, repr=False)
+    _candidates: dict[int, dict[int, CandidateList]] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        self.corpus.matrix(), self.corpus.id_rank()  # the scan's inputs, made before any query
+
+    def embeddings(self) -> TrainingEmbeddings:
+        if self._embeddings is None:
+            self._embeddings = TrainingEmbeddings(
+                self.train,
+                [embed_set(r.reactant_graphs(), self.weights, self.feature_cfg) for r in self.train],
+            )
+        return self._embeddings
+
+    def candidate_cache(self, k: int) -> dict[int, CandidateList]:
+        return self._candidates.setdefault(k, {})
+
+
 def select_examples(
     query: ReactionRecord,
     train: Sequence[ReactionRecord],
@@ -452,25 +524,33 @@ def select_examples(
 
     The query itself (matched by record id) is excluded, so evaluating on
     the training set is leave-one-out by construction.  Ties break by
-    record id.
+    record id, then index.  Each similarity is ``cosine``'s, operation for
+    operation: one ``np.dot`` per row, as a matrix product may sum in
+    another order and move the ranking.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if train_embeddings is None:
-        train_embeddings = [
-            embed_set(r.reactant_graphs(), weights, feature_cfg) for r in train
-        ]
-    if len(train_embeddings) != len(train):
+    table = train_embeddings
+    if table is None:
+        table = [embed_set(r.reactant_graphs(), weights, feature_cfg) for r in train]
+    if not isinstance(table, TrainingEmbeddings):
+        table = TrainingEmbeddings(train, table)
+    if len(table) != len(train):
         raise ValueError("one embedding per training record is required")
-    query_embedding = embed_set(query.reactant_graphs(), weights, feature_cfg)
-    scored = []
-    for idx, record in enumerate(train):
-        if record.id == query.id:
-            continue
-        similarity = cosine(query_embedding, train_embeddings[idx])
-        scored.append((-similarity, record.id, idx))
-    scored.sort()
-    return [idx for _, _, idx in scored[:n]]
+    query_values = embed_set(query.reactant_graphs(), weights, feature_cfg).values
+    rows = np.flatnonzero(table.ids != query.id)
+    if not len(rows):
+        return []
+    if table.matrix.shape[1] != len(query_values):
+        raise DimMismatch(f"embedding dims differ: {len(query_values)} vs {table.matrix.shape[1]}")
+    query_norm = float(np.sqrt(np.dot(query_values, query_values)))
+    norms = table.norms[rows]
+    if query_norm == 0.0 or not norms.all():
+        raise ZeroNormEmbedding("cosine similarity undefined for a zero vector")
+    dots = np.array([np.dot(query_values, row) for row in table.matrix])
+    similarity = dots[rows] / (query_norm * norms)
+    order = np.lexsort((table.id_rank[rows], -similarity))
+    return rows[order[:n]].tolist()
 
 
 def build_context(
@@ -482,21 +562,26 @@ def build_context(
     feature_cfg: FeatureConfig,
     fallback: Sequence[int] = (),
     candidate_cache: dict[int, CandidateList] | None = None,
+    train_embeddings: Sequence[Embedding] | None = None,
 ) -> list[InContextExample]:
     """Assemble in-context examples whose truth survives their own top-k.
 
     A selected reaction whose true product misses its candidate list is
     replaced by the next index from ``fallback`` (the continuation of the
     similarity ranking); each substitution is logged.  Exhausting the
-    fallback raises GroundTruthNotInTopK.
+    fallback raises GroundTruthNotInTopK.  With ``train_embeddings`` (one
+    per training record, as select_examples takes them) a record's
+    candidates come from its stored embedding, with no parse and no embed.
     """
 
     def candidates_for(idx: int) -> CandidateList:
         if candidate_cache is not None and idx in candidate_cache:
             return candidate_cache[idx]
-        lst = top_k_candidates(
-            train[idx].reactant_graphs(), corpus, k, weights, feature_cfg
-        )
+        if train_embeddings is None:
+            query = embed_set(train[idx].reactant_graphs(), weights, feature_cfg)
+        else:
+            query = train_embeddings[idx]
+        lst = top_k_by_embedding(query, corpus, k)
         if candidate_cache is not None:
             candidate_cache[idx] = lst
         return lst

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..loading import convert, convert_fields, read_json
+from ..loading import convert, convert_fields, read_json, write_file
 from .model import EncoderConfig, ShapeMismatch
 
 
@@ -110,7 +110,7 @@ def save_weights(weights: GnnWeights, path: str | Path) -> None:
             for hops in weights.layers
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_file(path, json.dumps(payload, indent=2) + "\n", FormatError)
 
 
 def load_weights(path: str | Path) -> GnnWeights:
@@ -126,15 +126,18 @@ def load_weights(path: str | Path) -> GnnWeights:
             if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
                 raise FormatError(f"{where} must have 'shape' and 'data'")
             shape = convert(entry["shape"], tuple[int, ...], f"{where} shape", FormatError)
-            data = convert(entry["data"], list, f"{where} data", FormatError)
+            data = convert(entry["data"], tuple[float, ...], f"{where} data", FormatError)
             if len(shape) != 2 or min(shape) < 1:
                 raise FormatError(f"{where} shape must be two positive ints")
             if len(data) != shape[0] * shape[1]:
                 raise ShapeError(f"{where} declares shape {shape}, carries {len(data)} values")
             try:
-                matrices.append(np.array(data, dtype=np.float64).reshape(shape))
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"{where} data is not numeric: {exc}") from exc
+                matrix = np.array(data, dtype=np.float64).reshape(shape)
+            except OverflowError as exc:  # an int past float range
+                raise FormatError(f"{where} data must be finite numbers: {exc}") from exc
+            if not np.isfinite(matrix).all():
+                raise FormatError(f"{where} data must be finite numbers")
+            matrices.append(matrix)
         layers.append(matrices)
     try:
         return GnnWeights(config=config, layers=layers)

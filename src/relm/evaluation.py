@@ -9,6 +9,7 @@ change any emitted byte.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import statistics
 from collections import Counter
@@ -18,8 +19,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .corpus import ProductCorpus, ReactionRecord, top_k_candidates
+from .corpus import ProductCorpus, ReactionRecord, RetrievalState, top_k_candidates
 from .encoder import GnnWeights
+from .loading import write_file
 from .molgraph import FeatureConfig
 
 if TYPE_CHECKING:
@@ -38,6 +40,10 @@ class MissingGroundTruth(ValueError):
 
 class DegenerateRanks(ValueError):
     """A rank vector is constant; correlation is undefined."""
+
+
+class ReportError(ValueError):
+    """A report or table file cannot be written."""
 
 
 # ---- per-sample outcomes ----
@@ -361,24 +367,31 @@ CSV_COLUMNS = (
 )
 
 
+def _write_csv(rows: Sequence[Sequence], path: str | Path) -> None:
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    write_file(path, text.getvalue(), ReportError)
+
+
 def write_outcomes_csv(outcomes: Sequence[SampleOutcome], path: str | Path) -> None:
     """One row per sample; column order is part of the file format."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for o in outcomes:
-            writer.writerow(
-                [
-                    o.id,
-                    "true" if o.correct else "false",
-                    "" if o.gnn_rank_of_truth is None else o.gnn_rank_of_truth,
-                    o.choice,
-                    "" if o.confidence is None else o.confidence,
-                    o.parse_status,
-                    o.latency_ms,
-                    o.token_estimate,
-                ]
-            )
+    _write_csv(
+        [CSV_COLUMNS]
+        + [
+            [
+                o.id,
+                "true" if o.correct else "false",
+                "" if o.gnn_rank_of_truth is None else o.gnn_rank_of_truth,
+                o.choice,
+                "" if o.confidence is None else o.confidence,
+                o.parse_status,
+                o.latency_ms,
+                o.token_estimate,
+            ]
+            for o in outcomes
+        ],
+        path,
+    )
 
 
 def write_report_json(report: EvalReport, path: str | Path) -> None:
@@ -386,9 +399,7 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
     data = asdict(report)
     for outcome in data["outcomes"]:
         outcome["tokens"] = outcome.pop("token_estimate")
-    Path(path).write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_file(path, json.dumps(data, indent=2, sort_keys=True) + "\n", ReportError)
 
 
 # ---- strategy comparison ----
@@ -421,17 +432,20 @@ def compare_strategies(
     Each row gets a fresh pipeline (and thus fresh mock state), rendering
     with the given IUPAC table and templates, so rows cannot contaminate
     each other; MES rows report the full multi-run token total per sample.
+    The rows share one retrieval state, so the training set is embedded at
+    most once.
     """
     from .lmclient import Pipeline, run_dataset
 
     if not records:
         raise ValueError("strategy comparison needs at least one record")
+    state = RetrievalState(corpus, train, weights, feature_cfg)
     rows = []
     for strategy in strategies:
         cfg = replace(prompt_cfg, strategy=strategy)
         pipeline = Pipeline(
             corpus, train, weights, feature_cfg, cfg, backend_cfg,
-            iupac_table=iupac_table, templates=templates, seed=seed,
+            iupac_table=iupac_table, templates=templates, seed=seed, state=state,
         )
         results = run_dataset(pipeline, records, max_concurrency=max_concurrency)
         outcomes = [
@@ -450,10 +464,8 @@ def compare_strategies(
 
 
 def write_strategy_csv(rows: Sequence[StrategyRow], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["strategy", "acc", "tokens", "time_s"])
-        for row in rows:
-            writer.writerow(
-                [row.strategy, row.accuracy, row.mean_tokens, row.mean_time_s]
-            )
+    _write_csv(
+        [["strategy", "acc", "tokens", "time_s"]]
+        + [[row.strategy, row.accuracy, row.mean_tokens, row.mean_time_s] for row in rows],
+        path,
+    )

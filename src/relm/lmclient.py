@@ -29,13 +29,14 @@ from .corpus import (
     InContextExample,
     ProductCorpus,
     ReactionRecord,
+    RetrievalState,
     check_fingerprint,
     perturb_context,
     build_context,
     select_examples,
     top_k_candidates,
 )
-from .encoder import GnnWeights, embed_set
+from .encoder import GnnWeights
 from .loading import convert, convert_fields, read_json
 from .molgraph import FeatureConfig
 from .prompt import (
@@ -521,10 +522,16 @@ class PredictionResult:
 class Pipeline:
     """Retrieve, build context, render, complete, parse; with fallback.
 
-    Thread-safe for concurrent predict() calls: the backend and training
-    embeddings are built under a lock; the candidate cache needs none, as
-    dict reads and writes are atomic and threads store equal lists for an
-    entry.  Randomness is derived per query id, so order changes nothing.
+    Work that outlives one query lives in a ``RetrievalState``: the
+    training embeddings and one candidate cache per k.  The pipelines of
+    one command (each K of a sweep, each strategy of a comparison) pass
+    the same ``state``, so the training set is embedded at most once per
+    command.  A pipeline whose strategy shows examples asks for the
+    embeddings when it is made, so concurrent predict() calls find them
+    built and take no lock; the caches hold pure values, and dict reads
+    and writes are atomic.  The backend is made on first use, under a lock
+    taken only then.  Randomness is derived per query id, so order changes
+    nothing.
     """
 
     def __init__(
@@ -538,10 +545,19 @@ class Pipeline:
         iupac_table: dict[str, str] | None = None,
         templates: TemplateSet | None = None,
         seed: int = 0,
+        state: RetrievalState | None = None,
     ):
         check_fingerprint(corpus, weights)
+        if state is None:
+            state = RetrievalState(corpus, list(train), weights, feature_cfg)
+        elif not (
+            state.corpus is corpus and state.train is train
+            and state.weights is weights and state.feature_cfg == feature_cfg
+        ):
+            raise ValueError("the retrieval state was built from other inputs")
+        self.state = state
         self.corpus = corpus
-        self.train = list(train)
+        self.train = state.train
         self.weights = weights
         self.feature_cfg = feature_cfg
         self.prompt_cfg = prompt_cfg
@@ -550,37 +566,33 @@ class Pipeline:
         self.templates = templates
         self.seed = seed
         self._backend = None
-        self._train_embeddings = None
-        self._candidate_cache: dict[int, CandidateList] = {}
-        self._lock = threading.Lock()
+        self._backend_lock = threading.Lock()
+        if prompt_cfg.strategy.shows_examples:
+            state.embeddings()
 
     @property
     def backend(self):
-        with self._lock:
-            if self._backend is None:
-                self._backend = make_backend(self.backend_cfg)
-            return self._backend
+        if self._backend is None:
+            with self._backend_lock:
+                if self._backend is None:
+                    self._backend = make_backend(self.backend_cfg)
+        return self._backend
 
     def _embeddings(self):
-        with self._lock:
-            if self._train_embeddings is None:
-                self._train_embeddings = [
-                    embed_set(r.reactant_graphs(), self.weights, self.feature_cfg)
-                    for r in self.train
-                ]
-            return self._train_embeddings
+        return self.state.embeddings()
 
     def _build_context(self, query: ReactionRecord) -> list[InContextExample]:
         cfg = self.prompt_cfg
         if not cfg.strategy.shows_examples:
             return []
+        embeddings = self._embeddings()
         ranking = select_examples(
             query,
             self.train,
             len(self.train),
             self.weights,
             self.feature_cfg,
-            train_embeddings=self._embeddings(),
+            train_embeddings=embeddings,
         )
         examples = build_context(
             ranking[: cfg.n],
@@ -590,7 +602,8 @@ class Pipeline:
             self.weights,
             self.feature_cfg,
             fallback=ranking[cfg.n :],
-            candidate_cache=self._candidate_cache,
+            candidate_cache=self.state.candidate_cache(cfg.k),
+            train_embeddings=embeddings,
         )
         if cfg.strategy.shows_confidence:
             per_query = replace(cfg.css, seed=derive_seed(self.seed, f"css|{query.id}"))

@@ -1,27 +1,63 @@
-"""Input files: one reader and one check of JSON values against field types.
+"""Input and output files: one reader, one writer and one check of JSON
+values against field types.
 
-A file that cannot be read, is not UTF-8 or is not JSON, and a value
-whose type does not fit the field it fills, raise the caller's own
-error type with the path or key in the message.
+A file that cannot be read or written, is not UTF-8 or is not JSON, and
+a value whose type does not fit the field it fills, raise the caller's
+own error type with the path or key in the message.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import reprlib
+from contextlib import contextmanager
 from enum import Enum
 from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
+
+@contextmanager
+def _os_errors(action: str, path: str | Path, error: type[Exception]) -> Iterator[None]:
+    try:
+        yield
+    except OSError as exc:
+        raise error(f"cannot {action} {path}: {exc.strerror or exc}") from exc
+
+
 def read_file(path: str | Path, error: type[Exception]) -> str:
     """The text of a UTF-8 file."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text: {exc}") from exc
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+    with _os_errors("read", path, error):
+        try:
+            return Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def write_file(path: str | Path, text: str, error: type[Exception]) -> None:
+    """Write UTF-8 text to a file atomically: a temporary file beside it,
+    synced to disk, then ``os.replace``, so a reader never sees half a file.
+
+    The rename replaces the path itself: a symlink there becomes a regular
+    file with default permissions."""
+    path = Path(path)
+    temp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    with _os_errors("write", path, error):
+        try:
+            with open(temp, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp, path)
+        finally:
+            temp.unlink(missing_ok=True)
+
+
+def make_dir(path: str | Path, error: type[Exception]) -> None:
+    """Create a directory and its parents unless it exists."""
+    with _os_errors("create directory", path, error):
+        Path(path).mkdir(parents=True, exist_ok=True)
 
 
 def decode_json(text: str, where: str, error: type[Exception]) -> Any:

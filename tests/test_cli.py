@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
 import relm.cli
+import relm.encoder
 import relm.prompt
 from relm.cli import main
 from relm.corpus import CssConfig, corpus_from_records, save_dataset, save_index
@@ -772,3 +774,103 @@ def test_fingerprint_mismatch_exits_2(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "built with different weights" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["build-index", "--out", "DIR"],
+        ["evaluate", "--out-dir", "FILE"],
+        ["compare-strategies", "--strategies", "plain", "--out", "DIR"],
+        ["train-toy", "--epochs", "1", "--out-weights", "DIR", "--out-trace", "TRACE"],
+        ["train-toy", "--epochs", "1", "--out-weights", "WEIGHTS", "--out-trace", "DIR"],
+    ],
+    ids=["index", "report_dir", "strategy_table", "weights", "trace"],
+)
+def test_unwritable_output_path_exits_2(workspace, tmp_path, capsys, command):
+    ws, _, _ = workspace
+    paths = {
+        "DIR": tmp_path / "a_directory",
+        "FILE": tmp_path / "a_file",
+        "TRACE": tmp_path / "trace.csv",
+        "WEIGHTS": tmp_path / "w.json",
+    }
+    paths["DIR"].mkdir()
+    paths["FILE"].write_text("not a directory\n")
+    argv = [str(paths.get(arg, arg)) for arg in command]
+    code = main([*argv, "--config", str(ws / "config.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "internal error" not in err
+    bad = paths["FILE"] if "FILE" in command else paths["DIR"]
+    assert f"{bad}:" in err
+    assert not list(tmp_path.glob(".*.tmp"))  # no temporary file left behind
+
+
+@pytest.mark.parametrize("literal", ["true", '"1.5"', "1e400"])
+def test_non_numeric_or_infinite_weight_exits_2(workspace, tmp_path, capsys, literal):
+    ws, base, _ = workspace
+    payload = json.loads((ws / "weights.npz").read_text())
+    payload["layers"][0][0]["data"][0] = "VALUE"
+    (tmp_path / "w.json").write_text(json.dumps(payload).replace('"VALUE"', literal))
+    cfg_path = write_config(tmp_path / "cfg.json", base, weights=str(tmp_path / "w.json"))
+    code = main(["build-index", "--config", cfg_path, "--out", str(tmp_path / "idx.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "layer 0 hop 0 data" in err
+
+
+@pytest.mark.parametrize("literal", ["true", '"1.5"', "1e400"])
+def test_non_numeric_or_infinite_embedding_exits_2(workspace, tmp_path, capsys, literal):
+    ws, base, _ = workspace
+    payload = json.loads((ws / "index.json").read_text())
+    payload["entries"][3]["embedding"][0] = "VALUE"
+    (tmp_path / "idx.json").write_text(json.dumps(payload).replace('"VALUE"', literal))
+    cfg_path = write_config(tmp_path / "cfg.json", base, index=str(tmp_path / "idx.json"))
+    code = main(["evaluate", "--config", cfg_path, "--out-dir", str(tmp_path / "reports")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "entry 3: embedding" in err
+
+
+# ---- one training-set embedding per command ----
+
+
+def count_embed_set(monkeypatch):
+    """Count embed_set calls, wherever a relm module imported it."""
+    calls = []
+    original = relm.encoder.embed_set
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("relm") and getattr(module, "embed_set", None) is original:
+            monkeypatch.setattr(module, "embed_set", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command,embeddings",
+    [
+        (["evaluate", "--strategy", "css", "--k", "2..4"], 1),
+        (["compare-strategies", "--strategies", "css,fine_grained_css"], 1),
+        (["evaluate", "--strategy", "zero_shot", "--k", "2..4"], 0),
+    ],
+    ids=["evaluate_k_sweep", "compare_strategies", "zero_shot"],
+)
+def test_training_set_is_embedded_at_most_once(
+    workspace, tmp_path, monkeypatch, command, embeddings
+):
+    # one query, so its own embed_set calls stay below one training-set pass
+    ws, _, train = workspace
+    save_dataset(train[:1], tmp_path / "one.jsonl")
+    outputs = ["--out", str(tmp_path / "rows.csv")] if command[0] == "compare-strategies" else [
+        "--out-dir", str(tmp_path / "reports")
+    ]
+    calls = count_embed_set(monkeypatch)
+    code = main([*command, *outputs, "--config", str(ws / "config.json"),
+                 "--eval-dataset", str(tmp_path / "one.jsonl")])
+    assert code == 0
+    assert len(calls) // len(train) == embeddings

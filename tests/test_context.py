@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 
+import numpy as np
 import pytest
 
 from relm.corpus import (
@@ -13,15 +14,18 @@ from relm.corpus import (
     InContextExample,
     NotEnoughCandidates,
     ReactionRecord,
+    RetrievalState,
+    ZeroNormEmbedding,
     build_context,
     corpus_from_records,
+    cosine,
     molecules_key,
     parse_side,
     perturb_context,
     select_examples,
     top_k_candidates,
 )
-from relm.encoder import EncoderConfig, embed_set, random_init
+from relm.encoder import Embedding, EncoderConfig, embed_set, random_init
 from relm.molgraph import FeatureConfig
 from relm.synthetic import synthetic_reactions
 
@@ -110,6 +114,48 @@ def test_select_examples_accepts_precomputed_embeddings(setup):
         select_examples(query, train, -1, weights, FEATURE_CFG)
 
 
+def test_select_examples_ranks_near_ties_as_cosine_does(setup):
+    # positive multiples of three directions: within a direction the
+    # cosines agree up to rounding, so the order rests on how each dot
+    # product and norm is summed
+    weights, _, _ = setup
+    rng = np.random.default_rng(5)
+    directions = rng.normal(size=(3, weights.config.embed_dim))
+    embeddings = [
+        Embedding(directions[i % 3] * scale)
+        for i, scale in enumerate(rng.uniform(0.01, 100.0, size=300))
+    ]
+    train = [
+        ReactionRecord(id=f"r-{i % 97}-{i}", reactants=("C",), products=("C",))
+        for i in range(300)
+    ]
+    for i, query in enumerate(synthetic_reactions(3, seed=44)):
+        query = dataclasses.replace(query, id=train[i].id)  # leaves its own row out
+        q = embed_set(query.reactant_graphs(), weights, FEATURE_CFG)
+        want = sorted(
+            (-cosine(q, e), r.id, idx)
+            for idx, (r, e) in enumerate(zip(train, embeddings))
+            if r.id != query.id
+        )
+        got = select_examples(
+            query, train, len(train), weights, FEATURE_CFG, train_embeddings=embeddings
+        )
+        assert got == [idx for _, _, idx in want]
+
+
+def test_select_examples_rejects_a_zero_norm_row(setup):
+    weights, train, _ = setup
+    embeddings = [embed_set(r.reactant_graphs(), weights, FEATURE_CFG) for r in train]
+    embeddings[5] = Embedding(np.zeros(weights.config.embed_dim))
+    with pytest.raises(ZeroNormEmbedding):
+        select_examples(train[0], train, 3, weights, FEATURE_CFG, train_embeddings=embeddings)
+    # the query's own row is never compared, as in leave-one-out
+    picked = select_examples(
+        train[5], train, 3, weights, FEATURE_CFG, train_embeddings=embeddings
+    )
+    assert len(picked) == 3 and 5 not in picked
+
+
 def test_select_examples_n_zero_and_n_too_large(setup):
     weights, train, _ = setup
     query = dataclasses.replace(synthetic_reactions(1, seed=43)[0], id="query-b")
@@ -177,6 +223,26 @@ def test_build_context_uses_the_cache(setup):
     )
     assert second[0].candidates == truth_only
     assert second[0].shown_answer == 0
+
+
+def test_build_context_from_stored_embeddings_needs_no_embed(setup, monkeypatch):
+    weights, train, corpus = setup
+    state = RetrievalState(corpus, train, weights, FEATURE_CFG)
+    fallback = list(range(3, len(train)))
+    fresh = build_context([0, 1, 2], train, corpus, 2, weights, FEATURE_CFG, fallback=fallback)
+    stored = state.embeddings()
+
+    def no_embed(*args, **kwargs):
+        raise AssertionError("embed_set called")
+
+    monkeypatch.setattr("relm.corpus.embed_set", no_embed)
+    cache = state.candidate_cache(2)
+    got = build_context(
+        [0, 1, 2], train, corpus, 2, weights, FEATURE_CFG, fallback=fallback,
+        candidate_cache=cache, train_embeddings=stored,
+    )
+    assert got == fresh
+    assert cache and state.candidate_cache(2) is cache and state.candidate_cache(3) == {}
 
 
 # ---- perturbation ----

@@ -237,6 +237,27 @@ def test_top_k_breaks_ties_by_entry_id():
     assert [c.entry_id for c in got.entries] == ["alpha", "mid", "zeta"]
 
 
+@pytest.mark.parametrize("id_order", ["numbered", "reversed"])
+def test_top_k_ties_at_the_kth_distance_break_by_id_not_position(id_order):
+    # "e-10" sorts before "e-9", so id order is not insertion order; the
+    # distance-1 group (e-1, e-3, e-7, e-9, e-11) straddles most k
+    ids = [f"e-{i}" for i in range(12)]
+    if id_order == "reversed":
+        ids.reverse()
+    distances = [2.0, 1.0, 2.0, 1.0, 2.0, 0.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0]
+    corpus = ProductCorpus(
+        entries=tuple(
+            CorpusEntry(entry_id, ("C",), Embedding(np.array([d, 0.0])), (entry_id,))
+            for entry_id, d in zip(ids, distances)
+        ),
+        fingerprint="ties",
+    )
+    want = sorted(zip(distances, ids))
+    for k in range(1, len(ids) + 3):
+        got = top_k_by_embedding(Embedding(np.zeros(2)), corpus, k)
+        assert [(c.distance, c.entry_id) for c in got.entries] == want[:k], k
+
+
 def test_top_k_short_corpus_and_validation():
     weights = make_weights()
     corpus = build_index([("a", ["C"]), ("b", ["N"])], weights, FEATURE_CFG)
@@ -322,3 +343,12 @@ def test_load_index_rejects_malformed_files(tmp_path):
     expect_error({**payload, "entries": [{**entry, "embedding": ["x"] * len(entry["embedding"])}]})
     expect_error({**payload, "entries": [{**entry, "embedding": [float("inf")] * len(entry["embedding"])}]})
     expect_error({**payload, "entries": [entry, entry]})
+    # numbers only: no JSON true or numeric string passes as a float
+    for bad in (True, "1.5"):
+        mistyped = [0.5, bad] + entry["embedding"][2:]
+        path.write_text(json.dumps({**payload, "entries": [{**entry, "embedding": mistyped}]}))
+        with pytest.raises(DatasetError, match=r"entry 0: embedding\[1\] must be of type float"):
+            load_index(path)
+    path.write_text(json.dumps(payload).replace(str(entry["embedding"][0]), "1e400", 1))
+    with pytest.raises(DatasetError, match="entry 0: embedding must be finite"):
+        load_index(path)

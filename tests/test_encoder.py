@@ -320,3 +320,17 @@ def test_load_weights_rejects_malformed_files(tmp_path):
         path.write_text(json.dumps(bad_config))
         with pytest.raises(FormatError, match=r"config\.embed_dim must be of type int"):
             load_weights(path)
+
+    # numbers only, and finite ones
+    for bad in (True, "1.5"):
+        mistyped = json.loads(json.dumps(payload))
+        mistyped["layers"][0][1]["data"][1] = bad
+        path.write_text(json.dumps(mistyped))
+        with pytest.raises(FormatError, match=r"layer 0 hop 1 data\[1\] must be of type float"):
+            load_weights(path)
+    for literal in ("1e400", "-Infinity", "NaN", "1" + "0" * 400):
+        huge = json.loads(json.dumps(payload))
+        huge["layers"][0][1]["data"][0] = "HUGE"
+        path.write_text(json.dumps(huge).replace('"HUGE"', literal))
+        with pytest.raises(FormatError, match="layer 0 hop 1 data must be finite"):
+            load_weights(path)

@@ -1,13 +1,14 @@
 """Backends, retries, answer parsing and the prediction pipeline."""
 
 import json
+import sys
 import threading
 
 import pytest
 import requests
 
 from goldens import LM_OUTPUT_GOLDENS
-from relm.corpus import CssConfig, corpus_from_records
+from relm.corpus import CssConfig, RetrievalState, corpus_from_records
 from relm.encoder import EncoderConfig, random_init
 from relm.evaluation import hit_at_k
 from relm.lmclient import (
@@ -472,6 +473,42 @@ def test_results_are_concurrency_order_independent(setup):
     assert [r.token_estimate for r in serial] == [
         r.token_estimate for r in parallel
     ]
+
+
+def test_threads_share_one_backend_and_one_retrieval_state(setup):
+    # more threads than cores and a short switch interval: a second backend
+    # would replay the scripted failures, and a wrong shared candidate list
+    # would change a context
+    weights, train, corpus = setup
+    strategy = Strategy(StrategyKind.CSS)
+    serial = run_dataset(
+        pipeline_for(setup, mock_cfg(fail_times=0), strategy=strategy), train, max_concurrency=1
+    )
+    state = RetrievalState(corpus, train, weights, FEATURE_CFG)
+    cfg = PromptConfig(strategy=strategy, k=4, n=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            pipe = Pipeline(
+                corpus, train, weights, FEATURE_CFG, cfg, mock_cfg(fail_times=3), state=state
+            )
+            parallel = run_dataset(pipe, train, max_concurrency=8)
+            assert sum(r.attempt_count for r in parallel) == len(train) + 3
+            assert [r.context for r in parallel] == [r.context for r in serial]
+    finally:
+        sys.setswitchinterval(interval)
+    shown = {train.index(e.record) for r in serial for e in r.context}
+    assert shown <= set(state.candidate_cache(4))
+
+
+def test_pipeline_rejects_a_state_of_other_inputs(setup):
+    weights, train, corpus = setup
+    other = RetrievalState(corpus, list(train), weights, FEATURE_CFG)
+    with pytest.raises(ValueError, match="other inputs"):
+        Pipeline(
+            corpus, train, weights, FEATURE_CFG, PromptConfig(), ORACLE, state=other
+        )
 
 
 def test_css_perturbation_seeds_are_per_query(setup):

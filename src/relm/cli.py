@@ -243,6 +243,20 @@ class _Inputs:
             )
 
 
+def _check_example_count(
+    prompt: PromptConfig, train: Sequence[ReactionRecord], queries: Sequence[ReactionRecord]
+) -> None:
+    """Fail before any query when CSS cannot show and perturb enough examples."""
+    train_ids = {r.id for r in train}
+    usable = len(train) - any(q.id in train_ids for q in queries)  # a query is never its own example
+    needed = max(2, prompt.css.num_perturbed)
+    if prompt.strategy.shows_confidence and min(prompt.n, usable) < needed:
+        raise DatasetError(
+            f"{prompt.strategy.label} needs {needed} in-context examples per query, but "
+            f"n={prompt.n} and the training set has {usable} usable example record(s)"
+        )
+
+
 # ---- commands ----
 
 
@@ -264,7 +278,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     """predict; inspect-prompt is its dry run plus a summary on stderr."""
     cfg = load_run_config(args.config, _overrides(args))
     record = load_record(args.reaction)  # before the pipeline embeds the training set
-    (pipeline,) = _Inputs.load(cfg).pipelines(cfg, [cfg.prompt.k])
+    inputs = _Inputs.load(cfg)
+    _check_example_count(cfg.prompt_config(), inputs.train, [record])
+    (pipeline,) = inputs.pipelines(cfg, [cfg.prompt.k])
     if args.dry_run:
         prompt = pipeline.render_prompt(record)
         print(prompt.text)
@@ -316,6 +332,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     # a bad evaluation set fails before any query runs
     check_ground_truth(inputs.records, inputs.corpus)
+    _check_example_count(cfg.prompt_config(), inputs.train, inputs.records)
     try:
         ks = _parse_k_spec(args.k) if args.k else [cfg.prompt.k]
     except ValueError as exc:
@@ -360,13 +377,16 @@ def cmd_compare_strategies(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --strategies value: {exc}")
     if not strategies:
         raise ConfigError("no strategies given")
+    prompt = cfg.prompt_config()
+    for strategy in strategies:
+        _check_example_count(replace(prompt, strategy=strategy), inputs.train, inputs.records)
     rows = compare_strategies(
         inputs.records,
         inputs.train,
         inputs.corpus,
         inputs.weights,
         FeatureConfig(),
-        cfg.prompt_config(),
+        prompt,
         cfg.backend,
         strategies,
         seed=cfg.seed,

@@ -7,23 +7,22 @@ Euclidean distances from each entry's difference to the query (not the
 entry at or below the k-th smallest distance (``np.partition``, so all
 ties there compete), ordered by (distance, entry id in Python string
 order) with ``np.lexsort``.  A ``RetrievalState`` holds what one command
-computes once for every query, K and strategy: the training set's
-embeddings and one candidate cache per k.  In-context examples pair a
-training reaction with its own candidate list; the confidence
-perturbation rewrites exactly
-``num_perturbed`` of them to show a wrong answer with low confidence
-while the rest keep the true answer with high confidence.
+computes once: the training set's ``TrainingEmbeddings`` and one
+candidate cache per k.  In-context examples pair a training reaction
+with its own candidate list; the confidence perturbation rewrites
+exactly ``num_perturbed`` of them to show a wrong answer with low
+confidence while the rest keep the true answer with high confidence.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import random
-from collections import abc
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -201,8 +200,9 @@ class CorpusEntry:
 class ProductCorpus:
     entries: tuple[CorpusEntry, ...]
     fingerprint: str
-    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _id_rank: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # the scan's inputs, made once: the embeddings and each entry's rank in id order
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    id_rank: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -210,21 +210,12 @@ class ProductCorpus:
         dims = {e.embedding.dim for e in self.entries}
         if len(dims) != 1:
             raise DimMismatch(f"corpus entries mix embedding dims {sorted(dims)}")
+        self.matrix = np.stack([e.embedding.values for e in self.entries])
+        self.id_rank = _rank([e.entry_id for e in self.entries])
 
     @property
     def dim(self) -> int:
         return self.entries[0].embedding.dim
-
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.stack([e.embedding.values for e in self.entries])
-        return self._matrix
-
-    def id_rank(self) -> np.ndarray:
-        """Each entry's position in entry-id order."""
-        if self._id_rank is None:
-            self._id_rank = _rank([e.entry_id for e in self.entries])
-        return self._id_rank
 
     def key_set(self) -> set[tuple[str, ...]]:
         return {e.keys for e in self.entries}
@@ -319,7 +310,7 @@ def top_k_by_embedding(query: Embedding, corpus: ProductCorpus, k: int) -> Candi
         raise DimMismatch(
             f"query dim {query.dim} does not match corpus dim {corpus.dim}"
         )
-    diffs = corpus.matrix() - query.values
+    diffs = corpus.matrix - query.values
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     chosen = np.arange(len(dists))
     if len(dists) < k:
@@ -328,7 +319,7 @@ def top_k_by_embedding(query: Embedding, corpus: ProductCorpus, k: int) -> Candi
         )
     elif len(dists) > k:
         chosen = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
-    chosen = chosen[np.lexsort((corpus.id_rank()[chosen], dists[chosen]))][:k]
+    chosen = chosen[np.lexsort((corpus.id_rank[chosen], dists[chosen]))][:k]
     entries = corpus.entries
     return CandidateList(
         entries=tuple(
@@ -459,12 +450,14 @@ class CssConfig:
             raise ValueError("num_perturbed must be >= 0")
 
 
-class TrainingEmbeddings(abc.Sequence):
-    """A training set's reactant embeddings as one matrix, indexed like the
-    records, with what select_examples needs of each row computed once:
-    its norm (as ``cosine`` takes it) and the rank of its record id."""
+class TrainingEmbeddings:
+    """A training set's reactant embeddings as one matrix, row i for record
+    i, with what select_examples needs of each row computed once: its norm
+    (as ``cosine`` takes it) and the rank of its record id."""
 
     def __init__(self, train: Sequence[ReactionRecord], embeddings: Sequence[Embedding]):
+        if len(embeddings) != len(train):
+            raise ValueError("one embedding per training record is required")
         if len({e.dim for e in embeddings}) > 1:
             raise DimMismatch("training embeddings mix dims")
         self.matrix = np.array([e.values for e in embeddings], dtype=np.float64)
@@ -472,18 +465,18 @@ class TrainingEmbeddings(abc.Sequence):
         self.ids = np.array([r.id for r in train], dtype=str)
         self.id_rank = _rank(self.ids.tolist())
 
-    def __len__(self) -> int:
-        return len(self.matrix)
-
-    def __getitem__(self, idx: int) -> Embedding:
-        return Embedding(self.matrix[idx])
+    @classmethod
+    def embed(
+        cls, train: Sequence[ReactionRecord], weights: GnnWeights, feature_cfg: FeatureConfig
+    ) -> TrainingEmbeddings:
+        return cls(train, [embed_set(r.reactant_graphs(), weights, feature_cfg) for r in train])
 
 
 @dataclass(eq=False)
 class RetrievalState:
     """What retrieval computes once per command, for every query, K and strategy.
 
-    The training set's reactant embeddings are made on the first call of
+    The training set's embeddings are made on the first call of
     ``embeddings()``, so a command whose strategies show no examples never
     makes them.  Each k has one cache of training records' candidate
     lists.  Both hold pure values, so pipelines and threads share them
@@ -497,15 +490,9 @@ class RetrievalState:
     _embeddings: TrainingEmbeddings | None = field(default=None, repr=False)
     _candidates: dict[int, dict[int, CandidateList]] = field(default_factory=dict, repr=False)
 
-    def __post_init__(self) -> None:
-        self.corpus.matrix(), self.corpus.id_rank()  # the scan's inputs, made before any query
-
     def embeddings(self) -> TrainingEmbeddings:
         if self._embeddings is None:
-            self._embeddings = TrainingEmbeddings(
-                self.train,
-                [embed_set(r.reactant_graphs(), self.weights, self.feature_cfg) for r in self.train],
-            )
+            self._embeddings = TrainingEmbeddings.embed(self.train, self.weights, self.feature_cfg)
         return self._embeddings
 
     def candidate_cache(self, k: int) -> dict[int, CandidateList]:
@@ -518,7 +505,7 @@ def select_examples(
     n: int,
     weights: GnnWeights,
     feature_cfg: FeatureConfig,
-    train_embeddings: Sequence[Embedding] | None = None,
+    train_embeddings: TrainingEmbeddings | None = None,
 ) -> list[int]:
     """Indices of the n training reactions most cosine-similar to the query.
 
@@ -532,11 +519,7 @@ def select_examples(
         raise ValueError("n must be >= 0")
     table = train_embeddings
     if table is None:
-        table = [embed_set(r.reactant_graphs(), weights, feature_cfg) for r in train]
-    if not isinstance(table, TrainingEmbeddings):
-        table = TrainingEmbeddings(train, table)
-    if len(table) != len(train):
-        raise ValueError("one embedding per training record is required")
+        table = TrainingEmbeddings.embed(train, weights, feature_cfg)
     query_values = embed_set(query.reactant_graphs(), weights, feature_cfg).values
     rows = np.flatnonzero(table.ids != query.id)
     if not len(rows):
@@ -562,64 +545,55 @@ def build_context(
     feature_cfg: FeatureConfig,
     fallback: Sequence[int] = (),
     candidate_cache: dict[int, CandidateList] | None = None,
-    train_embeddings: Sequence[Embedding] | None = None,
+    train_embeddings: TrainingEmbeddings | None = None,
 ) -> list[InContextExample]:
     """Assemble in-context examples whose truth survives their own top-k.
 
     A selected reaction whose true product misses its candidate list is
-    replaced by the next index from ``fallback`` (the continuation of the
-    similarity ranking); each substitution is logged.  Exhausting the
-    fallback raises GroundTruthNotInTopK.  With ``train_embeddings`` (one
-    per training record, as select_examples takes them) a record's
-    candidates come from its stored embedding, with no parse and no embed.
+    replaced, in its slot, by the next unused index from ``fallback`` (the
+    continuation of the similarity ranking); each substitution is logged.
+    Exhausting the fallback raises GroundTruthNotInTopK.  A record's
+    candidates come from its row of ``train_embeddings``, embedded here
+    when not given.
     """
-
-    def candidates_for(idx: int) -> CandidateList:
-        if candidate_cache is not None and idx in candidate_cache:
-            return candidate_cache[idx]
-        if train_embeddings is None:
-            query = embed_set(train[idx].reactant_graphs(), weights, feature_cfg)
-        else:
-            query = train_embeddings[idx]
-        lst = top_k_by_embedding(query, corpus, k)
-        if candidate_cache is not None:
-            candidate_cache[idx] = lst
-        return lst
-
+    table = train_embeddings
+    if table is None:
+        table = TrainingEmbeddings.embed(train, weights, feature_cfg)
+    cache = {} if candidate_cache is None else candidate_cache
     examples: list[InContextExample] = []
     used: set[int] = set()
     replacements = iter([i for i in fallback if i not in selected])
     skipped: list[str] = []
     for idx in selected:
-        current = idx
-        while True:
+        for current in itertools.chain([idx], replacements):
             if current in used:
-                current = None
-            else:
-                used.add(current)
-                candidates = candidates_for(current)
-                position = candidates.position_of_key(train[current].product_key())
-                if position is not None:
-                    examples.append(
-                        InContextExample(
-                            record=train[current],
-                            candidates=candidates,
-                            shown_answer=position,
-                        )
+                continue
+            used.add(current)
+            candidates = cache.get(current)
+            if candidates is None:
+                candidates = top_k_by_embedding(Embedding(table.matrix[current]), corpus, k)
+                cache[current] = candidates
+            position = candidates.position_of_key(train[current].product_key())
+            if position is not None:
+                examples.append(
+                    InContextExample(
+                        record=train[current],
+                        candidates=candidates,
+                        shown_answer=position,
                     )
-                    break
-                skipped.append(train[current].id)
-                logger.info(
-                    "record %s dropped from context: truth not in its top-%d",
-                    train[current].id,
-                    k,
                 )
-            current = next(replacements, None)
-            if current is None:
-                raise GroundTruthNotInTopK(
-                    "could not build the requested context; records without "
-                    f"their truth in top-{k}: {skipped}"
-                )
+                break
+            skipped.append(train[current].id)
+            logger.info(
+                "record %s dropped from context: truth not in its top-%d",
+                train[current].id,
+                k,
+            )
+        else:
+            raise GroundTruthNotInTopK(
+                "could not build the requested context; records without "
+                f"their truth in top-{k}: {skipped}"
+            )
     return examples
 
 

@@ -522,16 +522,12 @@ class PredictionResult:
 class Pipeline:
     """Retrieve, build context, render, complete, parse; with fallback.
 
-    Work that outlives one query lives in a ``RetrievalState``: the
-    training embeddings and one candidate cache per k.  The pipelines of
-    one command (each K of a sweep, each strategy of a comparison) pass
-    the same ``state``, so the training set is embedded at most once per
-    command.  A pipeline whose strategy shows examples asks for the
-    embeddings when it is made, so concurrent predict() calls find them
-    built and take no lock; the caches hold pure values, and dict reads
-    and writes are atomic.  The backend is made on first use, under a lock
-    taken only then.  Randomness is derived per query id, so order changes
-    nothing.
+    The pipelines of one command (each K of a sweep, each strategy of a
+    comparison) share one ``RetrievalState``, so the training set is
+    embedded at most once.  A pipeline whose strategy shows examples makes
+    the embeddings when it is made, so concurrent predict() calls take no
+    lock.  The backend is made on first use, under a lock taken only then.
+    Randomness is derived per query id, so order changes nothing.
     """
 
     def __init__(

@@ -532,6 +532,29 @@ def test_evaluate_missing_truth_fails_before_backend(workspace, tmp_path, capsys
     assert "alien" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["evaluate", "--out-dir", "reports"],
+        ["compare-strategies", "--strategies", "plain,css", "--out", "rows.csv"],
+    ],
+    ids=["evaluate", "compare_strategies"],
+)
+def test_too_few_examples_for_css_exits_2(workspace, tmp_path, monkeypatch, capsys, command):
+    # two records: each query's own record is never its example, so one is left
+    ws, base, train = workspace
+    save_dataset(train[:2], tmp_path / "two.jsonl")
+    cfg_path = write_config(
+        tmp_path / "cfg.json", base, dataset=str(tmp_path / "two.jsonl"), n=2
+    )
+    monkeypatch.chdir(tmp_path)
+    code = main([*command, "--config", cfg_path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "n=2" in err and "1 usable example record" in err, err
+    assert not (tmp_path / "reports").exists() and not (tmp_path / "rows.csv").exists()
+
+
 def test_unbuildable_context_exits_2(tmp_path, capsys):
     # four reactions leave too few whose truth is in their own top-2
     train = synthetic_reactions(4, seed=0)

@@ -15,6 +15,7 @@ from relm.corpus import (
     NotEnoughCandidates,
     ReactionRecord,
     RetrievalState,
+    TrainingEmbeddings,
     ZeroNormEmbedding,
     build_context,
     corpus_from_records,
@@ -103,12 +104,14 @@ def test_select_examples_accepts_precomputed_embeddings(setup):
     query = dataclasses.replace(synthetic_reactions(1, seed=42)[0], id="query-a")
     direct = select_examples(query, train, 3, weights, FEATURE_CFG)
     cached = select_examples(
-        query, train, 3, weights, FEATURE_CFG, train_embeddings=embeddings
+        query, train, 3, weights, FEATURE_CFG,
+        train_embeddings=TrainingEmbeddings(train, embeddings),
     )
     assert direct == cached
     with pytest.raises(ValueError):
         select_examples(
-            query, train, 3, weights, FEATURE_CFG, train_embeddings=embeddings[:-1]
+            query, train, 3, weights, FEATURE_CFG,
+            train_embeddings=TrainingEmbeddings(train, embeddings[:-1]),
         )
     with pytest.raises(ValueError):
         select_examples(query, train, -1, weights, FEATURE_CFG)
@@ -138,7 +141,8 @@ def test_select_examples_ranks_near_ties_as_cosine_does(setup):
             if r.id != query.id
         )
         got = select_examples(
-            query, train, len(train), weights, FEATURE_CFG, train_embeddings=embeddings
+            query, train, len(train), weights, FEATURE_CFG,
+            train_embeddings=TrainingEmbeddings(train, embeddings),
         )
         assert got == [idx for _, _, idx in want]
 
@@ -147,12 +151,11 @@ def test_select_examples_rejects_a_zero_norm_row(setup):
     weights, train, _ = setup
     embeddings = [embed_set(r.reactant_graphs(), weights, FEATURE_CFG) for r in train]
     embeddings[5] = Embedding(np.zeros(weights.config.embed_dim))
+    table = TrainingEmbeddings(train, embeddings)
     with pytest.raises(ZeroNormEmbedding):
-        select_examples(train[0], train, 3, weights, FEATURE_CFG, train_embeddings=embeddings)
+        select_examples(train[0], train, 3, weights, FEATURE_CFG, train_embeddings=table)
     # the query's own row is never compared, as in leave-one-out
-    picked = select_examples(
-        train[5], train, 3, weights, FEATURE_CFG, train_embeddings=embeddings
-    )
+    picked = select_examples(train[5], train, 3, weights, FEATURE_CFG, train_embeddings=table)
     assert len(picked) == 3 and 5 not in picked
 
 

@@ -5,7 +5,10 @@ keeps every hash here.  A change that moves one on purpose updates its
 hash and says why.  The workspace: ``synthetic_reactions(300, seed=7)``
 as the training set, its first 25 records as the evaluation set,
 16-d ``random_init`` weights with seed 3, the oracle backend with
-shuffled candidates, seed 5, ``max_concurrency`` 2, k 4 and n 3.
+shuffled candidates, seed 5, ``max_concurrency`` 2, k 4 and n 3.  The
+single-query test asks ``predict``, its dry run and ``inspect-prompt``
+about training record 4 with the css strategy, and runs ``train-toy``
+for 20 epochs.
 """
 
 import contextlib
@@ -45,15 +48,15 @@ EXPECTED = {
 
 
 def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code == 0, argv
-    return out.getvalue()
+    return out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
+def workspace(tmp_path_factory):
     ws = tmp_path_factory.mktemp("hashes")
     records = synthetic_reactions(300, seed=7)
     save_dataset(records, ws / "train.jsonl")
@@ -75,16 +78,22 @@ def digests(tmp_path_factory):
     }
     (ws / "config.json").write_text(json.dumps(config))
     common = ["--config", str(ws / "config.json")]
-    eval_set = ["--eval-dataset", str(ws / "eval.jsonl")]
 
     _run(["build-index", *common, "--out", str(ws / "index.json")])
+    return ws, common
+
+
+@pytest.fixture(scope="module")
+def digests(workspace):
+    ws, common = workspace
+    eval_set = ["--eval-dataset", str(ws / "eval.jsonl")]
     for strategy in ("css", "fine_grained_css"):
         out_dir = ws / f"eval_{strategy}"
-        stdout = _run(["evaluate", *common, *eval_set, "--strategy", strategy,
-                       "--k", "2..4", "--out-dir", str(out_dir)])
+        stdout, _ = _run(["evaluate", *common, *eval_set, "--strategy", strategy,
+                          "--k", "2..4", "--out-dir", str(out_dir)])
         (out_dir / "stdout").write_text(stdout)
-    stdout = _run(["compare-strategies", *common, *eval_set, "--strategies", COMPARED,
-                   "--out", str(ws / "compare.csv")])
+    stdout, _ = _run(["compare-strategies", *common, *eval_set, "--strategies", COMPARED,
+                      "--out", str(ws / "compare.csv")])
     (ws / "compare").mkdir()
     (ws / "compare" / "stdout").write_text(stdout)
     return {name: hashlib.sha256((ws / name).read_bytes()).hexdigest() for name in EXPECTED}
@@ -93,3 +102,34 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_output_hash(digests, name):
     assert digests[name] == EXPECTED[name]
+
+
+# one query through predict and the prompt dumps, and a short train-toy
+SINGLE_EXPECTED = {
+    "predict/stdout": "8151938e2976191f6c89ed4fd19ec7786d52163163ab1b94f61f5316d6b09be5",
+    "dry_run/stdout": "61c548115d975ebdc249be8b6bd5e7a54dd4ac535bd770698e0fbcf91b99aeb8",
+    "inspect/stdout": "61c548115d975ebdc249be8b6bd5e7a54dd4ac535bd770698e0fbcf91b99aeb8",
+    "inspect/stderr": "0317ddc4f84ae17b778179b50b75efdd1464313416e382c514f1ffabde3e6e6d",
+    "toy_weights.json": "3a61ebdaae60475e42c71e340b0f8dc65d7aac894f7352fe196753eaa7f7c3f9",
+    "toy_trace.csv": "3abd8cc5e9307bec9e60c344fe632de345562498245af2593dfe96abff9419b2",
+}
+
+
+def test_single_query_and_training_outputs(workspace):
+    ws, common = workspace
+    # a training record as the query, so its own row is left out of the context
+    save_dataset(synthetic_reactions(300, seed=7)[4:5], ws / "query.json")
+    query = [*common, "--strategy", "css", "--reaction", str(ws / "query.json")]
+    outputs = {
+        "predict": _run(["predict", *query]),
+        "dry_run": _run(["predict", *query, "--dry-run"]),
+        "inspect": _run(["inspect-prompt", *query]),
+    }
+    for name, (stdout, stderr) in outputs.items():
+        (ws / name).mkdir()
+        (ws / name / "stdout").write_text(stdout)
+        (ws / name / "stderr").write_text(stderr)
+    _run(["train-toy", *common, "--epochs", "20", "--out-weights",
+          str(ws / "toy_weights.json"), "--out-trace", str(ws / "toy_trace.csv")])
+    got = {name: hashlib.sha256((ws / name).read_bytes()).hexdigest() for name in SINGLE_EXPECTED}
+    assert got == SINGLE_EXPECTED

@@ -525,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# input errors exit 2; a bare ValueError is a bug in the program and exits 1
+# input errors exit 2; a bare ValueError or FileNotFoundError is a bug in the
+# program (every path a user names is read with its own error type) and exits 1
 _USER_ERRORS = (
     ConfigError,
     DatasetError,
@@ -535,7 +536,6 @@ _USER_ERRORS = (
     ReportError,
     AuthFailure,
     FingerprintMismatch,
-    FileNotFoundError,
     FormatError,
     ShapeError,
     ShapeMismatch,

@@ -1,5 +1,6 @@
-"""Scoring and analysis: accuracy, retrieval ceilings, vote aggregation,
-rank correlation, confidence splits and report serialization.
+"""Scoring and analysis: accuracy, retrieval ceilings, rank correlation,
+confidence splits and report serialization.  ``mes_vote`` lives with the
+pipeline that votes and is importable from here too.
 
 Aggregations are single-threaded over pre-collected outcomes; report
 rows are ordered by sample id so concurrent collection upstream cannot
@@ -12,22 +13,18 @@ import csv
 import io
 import json
 import statistics
-from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import ProductCorpus, ReactionRecord, RetrievalState, top_k_candidates
 from .encoder import GnnWeights
+from .lmclient import BackendConfig, Pipeline, PredictionResult, mes_vote, run_dataset
 from .loading import write_file
 from .molgraph import FeatureConfig
-
-if TYPE_CHECKING:
-    from .lmclient import PredictionResult
-    from .prompt import PromptConfig, Strategy, TemplateSet
-    from .lmclient import BackendConfig
+from .prompt import PromptConfig, Strategy, TemplateSet
 
 
 class MissingGroundTruth(ValueError):
@@ -73,7 +70,7 @@ class SampleOutcome:
 
 
 def outcome_from_prediction(
-    result: "PredictionResult", truth_key: tuple[str, ...] | None
+    result: PredictionResult, truth_key: tuple[str, ...] | None
 ) -> SampleOutcome:
     """Score one prediction: correct iff the chosen entry's structural
     key multiset equals the ground truth's."""
@@ -137,19 +134,6 @@ def hit_at_k(
         if candidates.position_of_key(record.product_key()) is not None:
             hits += 1
     return hits / len(records)
-
-
-def mes_vote(answers: Sequence[int]) -> int:
-    """Modal candidate index; ties go to the lowest retrieval rank.
-
-    Answers must already be rank indices (0 = retrieval-closest), which
-    makes the tie-break 'lowest index among tied'.
-    """
-    if not answers:
-        raise ValueError("cannot vote over zero answers")
-    counts = Counter(answers)
-    best = max(counts.values())
-    return min(a for a, c in counts.items() if c == best)
 
 
 def _fractional_ranks(values: Sequence[float]) -> list[float]:
@@ -324,7 +308,7 @@ class EvalReport:
 
 
 def build_report(
-    results: Sequence["PredictionResult"],
+    results: Sequence[PredictionResult],
     records: Sequence[ReactionRecord],
     corpus: ProductCorpus,
     weights: GnnWeights,
@@ -419,13 +403,13 @@ def compare_strategies(
     corpus: ProductCorpus,
     weights: GnnWeights,
     feature_cfg: FeatureConfig,
-    prompt_cfg: "PromptConfig",
-    backend_cfg: "BackendConfig",
-    strategies: Sequence["Strategy"],
+    prompt_cfg: PromptConfig,
+    backend_cfg: BackendConfig,
+    strategies: Sequence[Strategy],
     seed: int = 0,
     max_concurrency: int = 4,
     iupac_table: dict[str, str] | None = None,
-    templates: "TemplateSet | None" = None,
+    templates: TemplateSet | None = None,
 ) -> list[StrategyRow]:
     """One row per strategy over identical samples, seeds and corpus.
 
@@ -435,8 +419,6 @@ def compare_strategies(
     The rows share one retrieval state, so the training set is embedded at
     most once.
     """
-    from .lmclient import Pipeline, run_dataset
-
     if not records:
         raise ValueError("strategy comparison needs at least one record")
     state = RetrievalState(corpus, train, weights, feature_cfg)

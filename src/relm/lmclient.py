@@ -1,4 +1,5 @@
-"""LM backends, answer parsing and the end-to-end prediction pipeline.
+"""LM backends, answer parsing and the end-to-end prediction pipeline,
+including the majority vote (``mes_vote``) over an MES strategy's runs.
 
 Three backends share one retry loop: an HTTP client for chat-completion
 endpoints, a scripted mock for tests and offline runs, and a truth
@@ -16,6 +17,7 @@ import re
 import string
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
@@ -500,6 +502,19 @@ def derive_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def mes_vote(answers: Sequence[int]) -> int:
+    """Modal candidate index; ties go to the lowest retrieval rank.
+
+    Answers must already be rank indices (0 = retrieval-closest), which
+    makes the tie-break 'lowest index among tied'.
+    """
+    if not answers:
+        raise ValueError("cannot vote over zero answers")
+    counts = Counter(answers)
+    best = max(counts.values())
+    return min(a for a, c in counts.items() if c == best)
+
+
 @dataclass
 class PredictionResult:
     query_id: str
@@ -623,7 +638,7 @@ class Pipeline:
             candidates,
             context,
             self.prompt_cfg,
-            iupac_table=self._merged_iupac(query),
+            iupac_table={**(self.iupac_table or {}), **(query.iupac or {})},
             templates=self.templates,
         )
         return candidates, prompt, context
@@ -631,13 +646,6 @@ class Pipeline:
     def render_prompt(self, query: ReactionRecord) -> RenderedPrompt:
         """Everything predict() does short of calling the backend."""
         return self._prepare(query)[1]
-
-    def _merged_iupac(self, query: ReactionRecord) -> dict[str, str] | None:
-        if not self.iupac_table and not query.iupac:
-            return None
-        merged = dict(self.iupac_table or {})
-        merged.update(query.iupac or {})
-        return merged
 
     def predict(self, query: ReactionRecord) -> PredictionResult:
         candidates, prompt, context = self._prepare(query)
@@ -654,33 +662,18 @@ class Pipeline:
 
         rank_of = prompt.meta.rank_order  # display position -> rank index
         succeeded = [p for p in parses if p.parse_status != ParseStatus.FAILED]
-        mes_choices = None
-        if succeeded:
-            if runs > 1:
-                from .evaluation import mes_vote
-
-                mes_choices = tuple(rank_of[p.choice] for p in succeeded)
-                rank_index = mes_vote(mes_choices)
-            else:
-                rank_index = rank_of[succeeded[0].choice]
-            parsed = succeeded[0]
-            fell_back = False
-        else:
-            parsed = parses[0]
-            fell_back = True
-            rank_index = 0  # retrieval top-1 fallback
-
+        parsed = succeeded[0] if succeeded else parses[0]
+        choices = tuple(rank_of[p.choice] for p in succeeded)
+        rank_index = mes_vote(choices) if choices else 0  # retrieval top-1 fallback
+        scores = parsed.per_candidate_scores
         scores_by_rank = None
-        if parsed.per_candidate_scores is not None:
-            unshuffled = [0] * len(parsed.per_candidate_scores)
-            for display, score in enumerate(parsed.per_candidate_scores):
-                unshuffled[rank_of[display]] = score
-            scores_by_rank = tuple(unshuffled)
+        if scores is not None:
+            scores_by_rank = tuple(s for _, s in sorted(zip(rank_of, scores)))
 
         entry = candidates.entries[rank_index]
         truth_rank = None
-        if query.products:
-            position = candidates.position_of_key(query.product_key())
+        if prompt.meta.truth_key is not None:
+            position = candidates.position_of_key(prompt.meta.truth_key)
             truth_rank = position + 1 if position is not None else None
         return PredictionResult(
             query_id=query.id,
@@ -695,8 +688,8 @@ class Pipeline:
             token_estimate=estimate_tokens(prompt) * runs,
             latency_ms=total_latency,
             attempt_count=total_attempts,
-            fell_back=fell_back,
-            mes_choices=mes_choices,
+            fell_back=not choices,
+            mes_choices=choices if runs > 1 and choices else None,
             scores_by_rank=scores_by_rank,
         )
 

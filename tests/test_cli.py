@@ -413,6 +413,20 @@ def test_internal_value_error_exits_1(workspace, capsys, monkeypatch):
     assert "internal error: ValueError: an internal bug" in capsys.readouterr().err
 
 
+def test_internal_file_not_found_exits_1(workspace, capsys, monkeypatch):
+    # every path a user names is checked or read with the caller's own error
+    # type, so a bare FileNotFoundError that reaches main is a bug
+    ws, _, _ = workspace
+
+    def broken(path):
+        raise FileNotFoundError(2, "No such file or directory", "internal.tmp")
+
+    monkeypatch.setattr(relm.cli, "load_index", broken)
+    code = main(["evaluate", "--config", str(ws / "config.json")])
+    assert code == 1
+    assert "internal error: FileNotFoundError" in capsys.readouterr().err
+
+
 def test_bad_strategies_value_exits_2(workspace, tmp_path, capsys):
     ws, _, _ = workspace
     code = main(

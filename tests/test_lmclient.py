@@ -1,5 +1,6 @@
 """Backends, retries, answer parsing and the prediction pipeline."""
 
+import dataclasses
 import json
 import sys
 import threading
@@ -8,7 +9,7 @@ import pytest
 import requests
 
 from goldens import LM_OUTPUT_GOLDENS
-from relm.corpus import CssConfig, RetrievalState, corpus_from_records
+from relm.corpus import CssConfig, RetrievalState, corpus_from_records, top_k_candidates
 from relm.encoder import EncoderConfig, random_init
 from relm.evaluation import hit_at_k
 from relm.lmclient import (
@@ -35,7 +36,14 @@ from relm.lmclient import (
     run_dataset,
 )
 from relm.molgraph import FeatureConfig
-from relm.prompt import AnswerSchema, PromptConfig, Strategy, StrategyKind
+from relm.prompt import (
+    AnswerSchema,
+    MoleculeRendering,
+    PromptConfig,
+    Strategy,
+    StrategyKind,
+    render,
+)
 from relm.synthetic import synthetic_reactions
 
 FEATURE_CFG = FeatureConfig()
@@ -460,6 +468,82 @@ def test_mes_reuses_one_prompt_and_votes(setup):
     assert voted.final_rank == single.final_rank
     assert voted.token_estimate == 10 * single.token_estimate
     assert voted.attempt_count == 10
+
+
+class ScriptedBackend:
+    """Answers each completion with the next of a fixed list of texts."""
+
+    instrumented = False
+
+    def __init__(self, texts):
+        self._texts = iter(texts)
+
+    def complete_once(self, prompt):
+        return next(self._texts)
+
+
+def scripted_mes(setup, texts):
+    weights, train, corpus = setup
+    cfg = PromptConfig(strategy=Strategy.mes(runs=len(texts)), k=4, shuffle_candidates_seed=5)
+    pipe = Pipeline(corpus, train, weights, FEATURE_CFG, cfg, ORACLE)
+    pipe._backend = ScriptedBackend(texts)
+    return pipe.render_prompt(train[4]).meta.rank_order, pipe.predict(train[4])
+
+
+def test_mes_votes_over_the_parsed_runs_only(setup):
+    rank_of, result = scripted_mes(
+        setup, ["Answer: B", "complete gibberish, zero letters here", "Answer: C"]
+    )
+    assert rank_of != (0, 1, 2, 3)  # choices must be mapped back to ranks
+    assert result.mes_choices == (rank_of[1], rank_of[2])
+    assert result.final_rank == min(rank_of[1], rank_of[2])  # a tie goes to the closer rank
+    assert result.parsed.choice == 1
+    assert not result.fell_back
+    assert result.attempt_count == 3
+
+
+def test_mes_with_every_run_unparseable_falls_back_to_top1(setup):
+    _, result = scripted_mes(setup, ["no answer", "still none", "nothing"])
+    assert result.fell_back
+    assert result.final_rank == 0
+    assert result.mes_choices is None
+    assert result.parsed.parse_status == ParseStatus.FAILED
+
+
+IUPAC_CFG = PromptConfig(
+    strategy=Strategy(StrategyKind.ZERO_SHOT),
+    molecule_rendering=MoleculeRendering.SMILES_PLUS_IUPAC,
+)
+
+
+def iupac_prompt(setup, config_table, query_table):
+    weights, train, corpus = setup
+    pipe = Pipeline(
+        corpus, train, weights, FEATURE_CFG, IUPAC_CFG, ORACLE, iupac_table=config_table
+    )
+    query = dataclasses.replace(train[1], iupac=query_table)  # reactants Br(Br)=F and CCl
+    return query, pipe.render_prompt(query)
+
+
+def test_query_names_override_config_names(setup):
+    _, prompt = iupac_prompt(
+        setup,
+        {"Br(Br)=F": "config-name", "CCl": "config-only"},
+        {"Br(Br)=F": "query-name"},
+    )
+    assert "query-name (SMILES: Br(Br)=F)" in prompt.text
+    assert "config-only (SMILES: CCl)" in prompt.text
+    assert "config-name" not in prompt.text
+
+
+def test_no_name_table_renders_as_no_table(setup):
+    weights, _, corpus = setup
+    for config_table, query_table in ((None, None), ({}, None), (None, {})):
+        query, prompt = iupac_prompt(setup, config_table, query_table)
+        candidates = top_k_candidates(
+            query.reactant_graphs(), corpus, IUPAC_CFG.k, weights, FEATURE_CFG
+        )
+        assert prompt == render(query, candidates, [], IUPAC_CFG)
 
 
 def test_results_are_concurrency_order_independent(setup):

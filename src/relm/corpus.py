@@ -1,17 +1,20 @@
 """Reaction datasets, the product corpus, retrieval and context assembly.
 
 The corpus holds every known product set with a precomputed embedding.
-Retrieval is exact flat search in one kernel, ``top_k_by_embedding``:
-Euclidean distances from each entry's difference to the query (not the
-``|a|^2 - 2a.b + |b|^2`` expansion, which rounds differently), every
-entry at or below the k-th smallest distance (``np.partition``, so all
-ties there compete), ordered by (distance, entry id in Python string
-order) with ``np.lexsort``.  A ``RetrievalState`` holds what one command
-computes once: the training set's ``TrainingEmbeddings`` and one
-candidate cache per k.  In-context examples pair a training reaction
-with its own candidate list; the confidence perturbation rewrites
-exactly ``num_perturbed`` of them to show a wrong answer with low
-confidence while the rest keep the true answer with high confidence.
+Retrieval is exact flat search in one kernel, ``top_k_by_embedding``.
+A filter scores every entry by the expansion ``|m|^2 - 2 m.v`` (one
+matrix-vector product) and keeps each entry that its rounding-error bound
+cannot rule out of the top k.  The refine step then computes the
+Euclidean distance from each kept entry's difference to the query and
+orders the kept entries by (distance, entry id in Python string order)
+with ``np.lexsort``, so every tie at the k-th distance competes: the
+same ids and distances as ranking the whole corpus.  A
+``RetrievalState`` holds what one command computes once: the training
+set's ``TrainingEmbeddings`` and one candidate cache per k.  In-context
+examples pair a training reaction with its own candidate list; the
+confidence perturbation rewrites exactly ``num_perturbed`` of them to
+show a wrong answer with low confidence while the rest keep the true
+answer with high confidence.
 """
 
 from __future__ import annotations
@@ -200,8 +203,11 @@ class CorpusEntry:
 class ProductCorpus:
     entries: tuple[CorpusEntry, ...]
     fingerprint: str
-    # the scan's inputs, made once: the embeddings and each entry's rank in id order
+    # the scan's inputs, made once: the embeddings, each entry's squared
+    # norm, the largest norm and each entry's rank in id order
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    max_norm: float = field(init=False, repr=False, compare=False)
     id_rank: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -211,6 +217,8 @@ class ProductCorpus:
         if len(dims) != 1:
             raise DimMismatch(f"corpus entries mix embedding dims {sorted(dims)}")
         self.matrix = np.stack([e.embedding.values for e in self.entries])
+        self.sq_norms = np.vecdot(self.matrix, self.matrix)
+        self.max_norm = float(np.sqrt(self.sq_norms.max()))
         self.id_rank = _rank([e.entry_id for e in self.entries])
 
     @property
@@ -302,34 +310,73 @@ def check_fingerprint(corpus: ProductCorpus, weights: GnnWeights) -> None:
         )
 
 
+def _expansion_slack(dim: int, radius: float) -> float:
+    """How far above the k-th smallest expansion an entry may score and
+    still be among the k nearest by the diff-based distance.
+
+    Let D be the diff-based squared distance the refine step computes,
+    fl(sum_j fl(fl(m_j - v_j)^2)), and e = fl(fl(|m|^2) - 2 fl(m.v)) the
+    expansion, with T = |m - v|^2 and X = (|m| + |v|)^2 >= T.  A dot
+    product of length d summed in any order, BLAS's included, is off by
+    at most gamma_d * sum_j |a_j b_j|, where gamma_d = d*u / (1 - d*u) and
+    u = 2^-53 (Higham 2002, section 3.1).  D's terms are non-negative and
+    each carries at most d + 1 roundings, so |D - T| <= gamma_{d+1} T.
+    With |m.v| <= |m||v| and one rounding in the subtraction,
+    |e + |v|^2 - T| <= (gamma_d + u(1 + gamma_d)) X.  So each entry has
+    |e + |v|^2 - D| <= beta = ((2d + 2)u + O(d^2 u^2)) X, and the k-th
+    smallest D is at most e_(k) + |v|^2 + beta, e_(k) being the k-th
+    smallest e.  The refine step compares distances after a correctly
+    rounded sqrt, so an entry that ties the k-th distance there has D up
+    to (1 + 5u) times the k-th smallest D.  Every entry the refine step
+    can return therefore has e <= e_(k) + 2 beta + 5u X
+    = e_(k) + ((4d + 9)u + O(d^2 u^2)) X.  The factor (4d + 16)u leaves
+    7u X for the rounding of this slack, of e_(k) + slack and of the
+    stored norms in ``radius`` = max |m| + |v|.  ``tiny`` covers the
+    absolute error of products that underflow.
+    """
+    unit = np.finfo(np.float64).eps / 2
+    return (4 * dim + 16) * unit * (radius * radius + np.finfo(np.float64).tiny)
+
+
 def top_k_by_embedding(query: Embedding, corpus: ProductCorpus, k: int) -> CandidateList:
-    """Exhaustive scan: the k nearest entries, ties broken by entry id."""
+    """Exhaustive scan: the k nearest entries, ties broken by entry id.
+
+    A filter over every entry keeps a shortlist that provably holds every
+    entry within the k-th diff-based distance (see ``_expansion_slack``);
+    the refine step ranks that shortlist only.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if query.dim != corpus.dim:
         raise DimMismatch(
             f"query dim {query.dim} does not match corpus dim {corpus.dim}"
         )
-    diffs = corpus.matrix - query.values
-    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    chosen = np.arange(len(dists))
-    if len(dists) < k:
+    v = query.values
+    chosen = np.arange(len(corpus.entries))
+    if len(chosen) < k:
         logger.info(
-            "requested k=%d but the corpus has only %d entries", k, len(dists)
+            "requested k=%d but the corpus has only %d entries", k, len(chosen)
         )
-    elif len(dists) > k:
-        chosen = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
-    chosen = chosen[np.lexsort((corpus.id_rank[chosen], dists[chosen]))][:k]
+    elif len(chosen) > k:
+        expanded = corpus.sq_norms - 2.0 * (corpus.matrix @ v)
+        radius = corpus.max_norm + float(np.sqrt(np.vecdot(v, v)))
+        limit = np.partition(expanded, k - 1)[k - 1] + _expansion_slack(len(v), radius)
+        # not (a > b), so a non-finite score keeps its entry
+        chosen = np.flatnonzero(~(expanded > limit))
+    diffs = corpus.matrix[chosen] - v
+    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    order = np.lexsort((corpus.id_rank[chosen], dists))[:k]
+    chosen, dists = chosen[order], dists[order]
     entries = corpus.entries
     return CandidateList(
         entries=tuple(
             Candidate(
                 entry_id=entries[i].entry_id,
-                distance=float(dists[i]),
+                distance=distance,
                 products=entries[i].products,
                 keys=entries[i].keys,
             )
-            for i in chosen.tolist()
+            for i, distance in zip(chosen.tolist(), dists.tolist())
         ),
         k=k,
     )
@@ -461,8 +508,9 @@ class TrainingEmbeddings:
         if len({e.dim for e in embeddings}) > 1:
             raise DimMismatch("training embeddings mix dims")
         self.matrix = np.array([e.values for e in embeddings], dtype=np.float64)
-        self.norms = np.array([np.sqrt(np.dot(row, row)) for row in self.matrix])
-        self.ids = np.array([r.id for r in train], dtype=str)
+        self.norms = np.sqrt(np.vecdot(self.matrix, self.matrix))
+        # object, not str: numpy's fixed-width strings drop trailing NULs
+        self.ids = np.array([r.id for r in train], dtype=object)
         self.id_rank = _rank(self.ids.tolist())
 
     @classmethod
@@ -512,8 +560,8 @@ def select_examples(
     The query itself (matched by record id) is excluded, so evaluating on
     the training set is leave-one-out by construction.  Ties break by
     record id, then index.  Each similarity is ``cosine``'s, operation for
-    operation: one ``np.dot`` per row, as a matrix product may sum in
-    another order and move the ranking.
+    operation: ``np.vecdot`` sums each row as ``np.dot`` does, while a
+    matrix product may sum in another order and move the ranking.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -530,7 +578,7 @@ def select_examples(
     norms = table.norms[rows]
     if query_norm == 0.0 or not norms.all():
         raise ZeroNormEmbedding("cosine similarity undefined for a zero vector")
-    dots = np.array([np.dot(query_values, row) for row in table.matrix])
+    dots = np.vecdot(table.matrix, query_values)
     similarity = dots[rows] / (query_norm * norms)
     order = np.lexsort((table.id_rank[rows], -similarity))
     return rows[order[:n]].tolist()
@@ -562,7 +610,8 @@ def build_context(
     cache = {} if candidate_cache is None else candidate_cache
     examples: list[InContextExample] = []
     used: set[int] = set()
-    replacements = iter([i for i in fallback if i not in selected])
+    chosen = set(selected)
+    replacements = (i for i in fallback if i not in chosen)
     skipped: list[str] = []
     for idx in selected:
         for current in itertools.chain([idx], replacements):

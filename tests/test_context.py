@@ -147,6 +147,44 @@ def test_select_examples_ranks_near_ties_as_cosine_does(setup):
         assert got == [idx for _, _, idx in want]
 
 
+def test_vecdot_sums_each_row_as_np_dot_does():
+    # select_examples and TrainingEmbeddings take their dot products and
+    # norms with np.vecdot and rank exactly as cosine's np.dot would only
+    # while the two round alike; a numpy or BLAS build where they differ
+    # fails here by name
+    rng = np.random.default_rng(11)
+    matrix = rng.normal(size=(5000, 16))
+    records = [
+        ReactionRecord(id=f"r-{i}", reactants=("C",), products=("C",)) for i in range(len(matrix))
+    ]
+    table = TrainingEmbeddings(records, [Embedding(row) for row in matrix])
+    norms = np.array([np.sqrt(np.dot(row, row)) for row in table.matrix])
+    assert table.norms.tobytes() == norms.tobytes()
+    for query in rng.normal(size=(200, 16)):
+        dots = np.array([np.dot(query, row) for row in table.matrix])
+        assert np.vecdot(table.matrix, query).tobytes() == dots.tobytes()
+
+
+def test_select_examples_tells_apart_ids_that_differ_by_a_trailing_nul(setup):
+    weights, _, _ = setup
+    # equal rows tie every similarity, so the order is the id order alone;
+    # "a" sorts before "a\x00", which sorts before "b"
+    train = [
+        ReactionRecord(id=record_id, reactants=("C",), products=("C",))
+        for record_id in ("a\x00", "a", "b")
+    ]
+    row = Embedding(np.ones(weights.config.embed_dim))
+    table = TrainingEmbeddings(train, [row] * len(train))
+    query = ReactionRecord(id="q", reactants=("CCO",), products=("CC",))
+    assert select_examples(query, train, 3, weights, FEATURE_CFG, train_embeddings=table) == [
+        1, 0, 2
+    ]
+    query = dataclasses.replace(query, id="a")
+    assert select_examples(query, train, 3, weights, FEATURE_CFG, train_embeddings=table) == [
+        0, 2
+    ]
+
+
 def test_select_examples_rejects_a_zero_norm_row(setup):
     weights, train, _ = setup
     embeddings = [embed_set(r.reactant_graphs(), weights, FEATURE_CFG) for r in train]

@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relm import corpus as corpus_module
 from relm.corpus import (
     Candidate,
     CandidateList,
@@ -256,6 +259,99 @@ def test_top_k_ties_at_the_kth_distance_break_by_id_not_position(id_order):
     for k in range(1, len(ids) + 3):
         got = top_k_by_embedding(Embedding(np.zeros(2)), corpus, k)
         assert [(c.distance, c.entry_id) for c in got.entries] == want[:k], k
+
+
+def corpus_of_rows(rows, ids=None):
+    ids = ids or [f"e-{i}" for i in range(len(rows))]
+    return ProductCorpus(
+        entries=tuple(
+            CorpusEntry(entry_id, ("C",), Embedding(row), (entry_id,))
+            for entry_id, row in zip(ids, rows)
+        ),
+        fingerprint="rows",
+    )
+
+
+def diff_based_top_k(corpus, v, k):
+    """The scan with no filter: every entry's diff-based distance, sorted
+    by (distance, entry id)."""
+    diffs = corpus.matrix - v
+    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    return sorted(zip(dists.tolist(), [e.entry_id for e in corpus.entries]))[:k]
+
+
+def scan(corpus, v, k):
+    return [(c.distance, c.entry_id) for c in top_k_by_embedding(Embedding(v), corpus, k).entries]
+
+
+@pytest.mark.parametrize("dim", [2, 16])
+def test_top_k_filter_survives_cancellation(dim, monkeypatch):
+    # at norms near 1e8 the expansion |m|^2 - 2m.v rounds in steps of ~1,
+    # far coarser than these squared distances (~1e-8), so only the error
+    # bound keeps the true neighbours in the shortlist
+    rng = np.random.default_rng(0)
+    v = np.full(dim, 1e8)
+    corpus = corpus_of_rows(v + rng.normal(scale=1e-4, size=(64, dim)))
+    for k in (3, 5):
+        assert scan(corpus, v, k) == diff_based_top_k(corpus, v, k)
+    monkeypatch.setattr(corpus_module, "_expansion_slack", lambda dim, radius: 0.0)
+    for k in (3, 5):
+        assert scan(corpus, v, k) != diff_based_top_k(corpus, v, k)
+
+
+def test_top_k_keeps_a_sqrt_tie_one_ulp_above_the_kth(monkeypatch):
+    # 1 + 2^-52 is one ulp above 1 but its sqrt rounds to 1.0, so "a"
+    # ties "b" at distance 1 and wins on id
+    corpus = corpus_of_rows([[1.0, 0.0], [1.0, 2.0**-26], [3.0, 0.0]], ids=["b", "a", "c"])
+    v = np.zeros(2)
+    assert float(corpus.matrix[1] @ corpus.matrix[1]) == np.nextafter(1.0, 2.0)
+    assert scan(corpus, v, 1) == diff_based_top_k(corpus, v, 1) == [(1.0, "a")]
+    monkeypatch.setattr(corpus_module, "_expansion_slack", lambda dim, radius: 0.0)
+    assert scan(corpus, v, 1) == [(1.0, "b")]
+
+
+# per-coordinate offsets from the query: small multiples of 1/2 tie
+# exactly, and 2^-26 squares to one ulp of 1
+OFFSETS = np.array([0.0, 0.5, 1.0, 1.5, 2.0**-26, 1.5 * 2.0**-26, 2.0**-27])
+
+
+@st.composite
+def scan_cases(draw):
+    dim = draw(st.sampled_from([1, 2, 16, 64]))
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, n + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([2.0**-20, 1.0, 2.0**10]))
+    center = draw(st.sampled_from([0.0, 3.0, 1e6]))
+    v = center + scale * rng.integers(-2, 3, size=dim) / 2
+    offsets = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["sparse", "normal", "copy", "permute", "nudge"]))
+        if kind == "sparse" or not offsets:
+            signs = rng.choice([-1.0, 1.0], size=dim)
+            offset = signs * rng.choice(OFFSETS, size=dim, p=[0.7] + [0.05] * 6)
+        elif kind == "normal":
+            offset = rng.normal(size=dim)
+        else:
+            offset = offsets[rng.integers(len(offsets))].copy()
+            if kind == "permute":
+                offset = rng.permutation(offset)
+            elif kind == "nudge":
+                offset[rng.integers(dim)] += rng.choice([-1.0, 1.0]) * 2.0**-26
+        offsets.append(offset)
+    rows = v + scale * np.array(offsets)
+    ids = [f"e-{i}" for i in rng.permutation(n)]
+    return corpus_of_rows(rows, ids), v, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+def test_top_k_matches_the_unfiltered_scan_bit_for_bit(case):
+    corpus, v, k = case
+    got = top_k_by_embedding(Embedding(v), corpus, k)
+    want = diff_based_top_k(corpus, v, k)
+    assert [(c.distance, c.entry_id) for c in got.entries] == want
+    assert got.short == (len(corpus.entries) < k)
 
 
 def test_top_k_short_corpus_and_validation():

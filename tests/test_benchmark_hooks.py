@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
+import relm.encoder.training
 from relm.corpus import build_context, corpus_from_records
-from relm.encoder import EncoderConfig, random_init
+from relm.encoder import EncoderConfig, TrainingHyper, random_init, train_contrastive
 from relm.molgraph import FeatureConfig
 from relm.synthetic import synthetic_reactions
 
@@ -73,6 +74,23 @@ def test_every_expected_span_is_traced(tracer):
 )
 def test_names_the_benchmark_patches_or_imports_exist(module_name, attr):
     assert callable(_resolve(module_name, attr))
+
+
+def test_training_calls_the_patched_loss_once_per_epoch(monkeypatch):
+    # run.py's Measure times an epoch by swapping the module attribute
+    real = relm.encoder.training.contrastive_loss_and_grad
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(relm.encoder.training, "contrastive_loss_and_grad", counting)
+    feature_cfg = FeatureConfig()
+    pairs = [(r.reactants, r.products) for r in synthetic_reactions(5, seed=3)]
+    cfg = EncoderConfig(feature_dim=feature_cfg.feature_dim, embed_dim=4)
+    result = train_contrastive(pairs, cfg, feature_cfg, TrainingHyper(epochs=3))
+    assert len(calls) == 3 == len(result.loss_trace)
 
 
 def test_build_context_positional_parameters_are_the_tracers():

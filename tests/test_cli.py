@@ -474,7 +474,14 @@ def test_malformed_mock_script_exits_2(workspace, tmp_path, capsys, script):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--epochs", "-1"], ["--learning-rate", "0"], ["--embed-dim", "0"]]
+    "flags",
+    [
+        ["--epochs", "-1"],
+        ["--learning-rate", "0"],
+        ["--embed-dim", "0"],
+        ["--margin", "nan"],
+        ["--learning-rate", "inf"],
+    ],
 )
 def test_bad_training_settings_exit_2(workspace, tmp_path, capsys, flags):
     ws, _, _ = workspace

@@ -13,7 +13,9 @@ from relm.encoder import (
     random_init,
     train_contrastive,
 )
-from relm.molgraph import FeatureConfig, parse_smiles
+from relm.encoder.model import _forward
+from relm.encoder.training import _backward_molecule
+from relm.molgraph import FeatureConfig, graph_features, parse_smiles
 from relm.synthetic import synthetic_reactions
 
 FEATURE_CFG = FeatureConfig()
@@ -43,6 +45,66 @@ def reference_loss(pairs, weights, feature_cfg, margin):
                 other = float(np.linalg.norm(h_r[i] - h_p[j]))
                 total += max(0.0, own - other + margin)
     return total / (n * (n - 1))
+
+
+def loop_loss_and_grad(pairs, weights, feature_cfg, margin):
+    """The loop formula the whole-array version replaced, kept as its
+    bit-level reference: member lists pool each side, a loop over the
+    reactions builds the hinge gradient, and nested loops route it back to
+    the molecules.  It shares the per-molecule forward and backward passes."""
+    molecules, reactant_members, product_members = [], [], []
+    for reactants, products in pairs:
+        for side, members in ((reactants, reactant_members), (products, product_members)):
+            start = len(molecules)
+            for smiles in side:
+                for graph in parse_smiles(smiles):
+                    molecules.append(graph_features(graph, feature_cfg))
+            members.append(list(range(start, len(molecules))))
+    n = len(pairs)
+
+    pooled = []
+    caches = []
+    for x, a in molecules:
+        h, cache = _forward(x, a, weights)
+        pooled.append(h.sum(axis=0))
+        caches.append(cache)
+    h_r = np.array([sum(pooled[m] for m in ms) for ms in reactant_members])
+    h_p = np.array([sum(pooled[m] for m in ms) for ms in product_members])
+
+    diffs = h_r[:, None, :] - h_p[None, :, :]
+    dist = np.sqrt((diffs**2).sum(axis=2))
+    pair_weight = 1.0 / (n * (n - 1))
+    own = np.diag(dist)
+    hinge = own[:, None] - dist + margin
+    np.fill_diagonal(hinge, 0.0)
+    active = hinge > 0.0
+    loss = float(hinge[active].sum() * pair_weight)
+
+    d_dist = np.zeros_like(dist)
+    for i in range(n):
+        row_active = active[i]
+        d_dist[i, i] += pair_weight * row_active.sum()
+        d_dist[i, row_active] -= pair_weight
+
+    safe = np.where(dist > 0.0, dist, 1.0)
+    units = diffs / safe[:, :, None]
+    units[dist == 0.0] = 0.0
+
+    dh_r = (d_dist[:, :, None] * units).sum(axis=1)
+    dh_p = -(d_dist[:, :, None] * units).sum(axis=0)
+
+    grads = [[np.zeros_like(w) for w in hops] for hops in weights.layers]
+    mol_grads = [np.zeros(weights.config.embed_dim) for _ in molecules]
+    for i, members in enumerate(reactant_members):
+        for m in members:
+            mol_grads[m] += dh_r[i]
+    for j, members in enumerate(product_members):
+        for m in members:
+            mol_grads[m] += dh_p[j]
+    for m, (x, a) in enumerate(molecules):
+        if np.any(mol_grads[m]):
+            _backward_molecule(mol_grads[m], a, weights, caches[m], grads)
+    return loss, grads
 
 
 # ---- loss value ----
@@ -89,6 +151,27 @@ def test_batch_needs_two_reactions_and_nonempty_sides():
 
 
 # ---- gradients ----
+
+
+@pytest.mark.parametrize("margin", [0.0, 1.0])
+def test_loss_and_gradients_are_bit_identical_to_the_loop_formula(margin):
+    pairs = reaction_pairs(6, seed=3) + [
+        (["CCO.O"], ["CC=O", "O"]),  # several molecules on each side
+        (["CC"], ["CC"]),  # reactants equal products: zero distance on the diagonal
+        (["c1ccccc1", "Br"], ["Brc1ccccc1"]),
+        (["CC"], ["CC"]),  # the duplicate: zero distance off the diagonal
+    ]
+    cfg = EncoderConfig(
+        feature_dim=FEATURE_CFG.feature_dim, embed_dim=6, num_layers=2, hops_per_layer=2
+    )
+    weights = random_init(cfg, seed=5)
+    loss, grads = contrastive_loss_and_grad(pairs, weights, FEATURE_CFG, margin)
+    want_loss, want_grads = loop_loss_and_grad(pairs, weights, FEATURE_CFG, margin)
+    assert np.array_equal(np.float64(loss), np.float64(want_loss))
+    assert any(np.any(g) for hops in grads for g in hops)
+    for hops, want_hops in zip(grads, want_grads, strict=True):
+        for g, want in zip(hops, want_hops, strict=True):
+            assert np.array_equal(g, want)
 
 
 def test_gradients_match_central_finite_differences():
@@ -216,6 +299,10 @@ def test_divergence_raises_with_finite_trace():
         {"learning_rate": 0.0},
         {"learning_rate": -1.0},
         {"epochs": -1},
+        {"margin": float("nan")},
+        {"margin": float("inf")},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
     ],
 )
 def test_hyper_validation(kwargs):

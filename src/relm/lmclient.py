@@ -10,21 +10,24 @@ throws; unparseable output degrades to the retrieval top-1 fallback.
 
 from __future__ import annotations
 
+import http.client
 import json
+import math
 import os
 import random
 import re
 import string
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
-
-import requests
 
 from .corpus import (
     CandidateList,
@@ -138,16 +141,21 @@ class BackendConfig:
     backoff_base_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be a finite number >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.timeout_ms <= 0:
             raise ValueError("timeout_ms must be > 0")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be >= 0")
-        if self.kind == BackendKind.HTTP and not self.endpoint:
-            raise ValueError("http backend needs an endpoint")
+        if not (math.isfinite(self.backoff_base_s) and self.backoff_base_s >= 0):
+            raise ValueError("backoff_base_s must be a finite number >= 0")
+        if self.kind == BackendKind.HTTP:
+            url = urllib.parse.urlsplit(self.endpoint)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError(
+                    f"http backend needs an http:// or https:// endpoint "
+                    f"with a host, got {self.endpoint!r}"
+                )
         if self.kind == BackendKind.MOCK and not self.mock_script:
             raise ValueError("mock backend needs a mock_script")
 
@@ -176,7 +184,10 @@ class HttpBackend:
             raise AuthFailure(
                 f"no API key: set the {cfg.api_key_env} environment variable"
             )
-        self._headers = {"Authorization": f"Bearer {key}"}
+        self._headers = {
+            "Authorization": f"Bearer {key}",
+            "Content-Type": "application/json",
+        }
 
     instrumented = True  # latency is measured wall time
 
@@ -187,32 +198,32 @@ class HttpBackend:
             "temperature": cfg.temperature,
             "messages": prompt.as_chat(),
         }
+        url = f"{cfg.endpoint.rstrip('/')}/chat/completions"
+        request = urllib.request.Request(url, json.dumps(body).encode(), self._headers)
         try:
-            response = requests.post(
-                f"{cfg.endpoint.rstrip('/')}/chat/completions",
-                json=body,
-                headers=self._headers,
-                timeout=cfg.timeout_ms / 1000.0,
-            )
-        except requests.Timeout as exc:
+            try:
+                with urllib.request.urlopen(request, timeout=cfg.timeout_ms / 1000.0) as reply:
+                    status, raw = reply.status, reply.read()
+            except urllib.error.HTTPError as exc:
+                status, raw = exc.code, exc.read()
+        except TimeoutError as exc:
             raise _Transient("timeout", f"request timed out: {exc}") from exc
-        except requests.ConnectionError as exc:
+        except (OSError, http.client.HTTPException) as exc:
             raise _Transient("timeout", f"connection failed: {exc}") from exc
-        if response.status_code in (401, 403):
+        if status in (401, 403):
             raise AuthFailure(
-                f"authentication rejected ({response.status_code}) "
-                f"using key from {cfg.api_key_env}"
+                f"authentication rejected ({status}) using key from {cfg.api_key_env}"
             )
-        if response.status_code == 429:
+        if status == 429:
             raise _Transient("throttle", "rate limited (429)")
-        if response.status_code >= 500:
-            raise _Transient("throttle", f"server error ({response.status_code})")
-        if response.status_code != 200:
+        if status >= 500:
+            raise _Transient("throttle", f"server error ({status})")
+        if status != 200:
             raise MalformedResponse(
-                f"unexpected status {response.status_code}: {response.text[:200]}"
+                f"unexpected status {status}: {raw[:200].decode('utf-8', 'replace')}"
             )
         try:
-            payload = response.json()
+            payload = json.loads(raw)
             text = payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise MalformedResponse(f"cannot read completion text: {exc}") from exc

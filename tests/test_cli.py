@@ -268,6 +268,18 @@ def test_missing_config_file_exits_2(workspace, tmp_path, capsys):
             {"strategy": "css", "css": {"num_perturbed": True}},
             "css.num_perturbed must be of type int, got True",
         ),
+        *(
+            (
+                {"backend": {**HTTP_BACKEND, "endpoint": endpoint}},
+                "backend: http backend needs an http:// or https:// endpoint",
+            )
+            for endpoint in ("api.example.com/v1", "ftp://example.com/v1", "http://")
+        ),
+        *(
+            ({"backend": {**HTTP_BACKEND, name: value}}, f"backend: {name} must be a finite number")
+            for name in ("temperature", "backoff_base_s")
+            for value in (float("nan"), float("inf"))
+        ),
     ],
 )
 def test_bad_config_exits_2(workspace, tmp_path, capsys, edits, fragment):

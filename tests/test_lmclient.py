@@ -4,9 +4,9 @@ import dataclasses
 import json
 import sys
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from goldens import LM_OUTPUT_GOLDENS
 from relm.corpus import CssConfig, RetrievalState, corpus_from_records, top_k_candidates
@@ -135,6 +135,13 @@ def test_parsed_answer_invariants():
         {"backoff_base_s": -1.0},
         {"kind": BackendKind.HTTP},  # no endpoint
         {"kind": BackendKind.MOCK},  # no script
+        {"temperature": float("nan")},
+        {"temperature": float("inf")},
+        {"backoff_base_s": float("nan")},
+        {"backoff_base_s": float("inf")},
+        {"kind": BackendKind.HTTP, "endpoint": "api.example.com/v1"},
+        {"kind": BackendKind.HTTP, "endpoint": "ftp://example.com/v1"},
+        {"kind": BackendKind.HTTP, "endpoint": "http://"},
     ],
 )
 def test_backend_config_rejects(kwargs):
@@ -299,27 +306,71 @@ def test_oracle_defaults_to_first_letter_without_truth(setup):
 # ---- http backend ----
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
+class ChatServer(ThreadingHTTPServer):
+    """Loopback endpoint: each POST is recorded as (path, headers, JSON
+    body) and answered by the next entry of ``script``."""
 
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), ChatHandler)
+        self.script = []
+        self.received = []
+        self.release = threading.Event()  # ends every stalled reply
+
+
+class ChatHandler(BaseHTTPRequestHandler):
+    def log_message(self, format, *args):  # keep test output quiet
+        pass
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.received.append((self.path, self.headers, json.loads(body)))
+        self.server.script.pop(0)(self)
+
+
+def reply(status, payload=b"", missing=0):
+    """A scripted reply whose Content-Length promises ``missing`` bytes
+    more than it sends before the server closes the connection."""
+
+    def send(handler):
+        handler.send_response(status)
+        handler.send_header("Content-Type", "application/json")
+        handler.send_header("Content-Length", str(len(payload) + missing))
+        handler.end_headers()
+        handler.wfile.write(payload)
+
+    return send
+
+
+def stall(handler):
+    handler.server.release.wait(10)
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    monkeypatch.setenv("RELM_API_KEY", "sk-test")
+    server = ChatServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield server
+    server.release.set()
+    server.shutdown()
+    server.server_close()
+    thread.join(5)
+    assert not thread.is_alive()
 
 
 def good_payload(content="Answer: B"):
-    return {"choices": [{"message": {"content": content}}]}
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
 
 
-def http_cfg(max_retries=2):
+def http_cfg(server, max_retries=2, timeout_ms=30000):
     return BackendConfig(
         kind=BackendKind.HTTP,
-        endpoint="http://example.invalid/v1",
+        endpoint=f"http://127.0.0.1:{server.server_port}/v1",
         model="test-model",
+        timeout_ms=timeout_ms,
         max_retries=max_retries,
         backoff_base_s=0.0,
     )
@@ -327,8 +378,9 @@ def http_cfg(max_retries=2):
 
 def test_http_missing_key_is_auth_failure(monkeypatch):
     monkeypatch.delenv("RELM_API_KEY", raising=False)
+    cfg = BackendConfig(kind=BackendKind.HTTP, endpoint="http://example.invalid/v1")
     with pytest.raises(AuthFailure) as err:
-        make_backend(http_cfg())
+        make_backend(cfg)
     assert "RELM_API_KEY" in str(err.value)
 
 
@@ -344,80 +396,70 @@ def test_http_custom_env_var_name(monkeypatch):
     assert "OTHER_KEY" in str(err.value)
 
 
-def test_http_success_posts_chat_completions(setup, monkeypatch):
-    monkeypatch.setenv("RELM_API_KEY", "sk-test")
-    calls = []
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        calls.append((url, json, headers, timeout))
-        return FakeResponse(200, good_payload())
-
-    monkeypatch.setattr("relm.lmclient.requests.post", fake_post)
-    prompt = make_prompt(setup)
-    response = complete(prompt, http_cfg())
+def test_http_success_posts_chat_completions(setup, chat_server):
+    chat_server.script = [reply(200, good_payload())]
+    response = complete(make_prompt(setup), http_cfg(chat_server))
     assert response.text == "Answer: B"
     assert response.attempt_count == 1
-    url, body, headers, timeout = calls[0]
-    assert url == "http://example.invalid/v1/chat/completions"
+    [(path, headers, body)] = chat_server.received
+    assert path == "/v1/chat/completions"
     assert headers["Authorization"] == "Bearer sk-test"
+    assert headers["Content-Type"] == "application/json"
     assert body["model"] == "test-model"
     assert body["messages"][0]["role"] == "system"
-    assert timeout == 30.0
 
 
-def test_http_401_is_auth_failure(setup, monkeypatch):
-    monkeypatch.setenv("RELM_API_KEY", "sk-test")
-    monkeypatch.setattr(
-        "relm.lmclient.requests.post",
-        lambda *a, **k: FakeResponse(401, text="denied"),
-    )
+def test_http_401_is_auth_failure(setup, chat_server):
+    chat_server.script = [reply(401, b"denied")]
     with pytest.raises(AuthFailure):
-        complete(make_prompt(setup), http_cfg())
+        complete(make_prompt(setup), http_cfg(chat_server))
 
 
-def test_http_429_exhaustion(setup, monkeypatch):
-    monkeypatch.setenv("RELM_API_KEY", "sk-test")
-    monkeypatch.setattr(
-        "relm.lmclient.requests.post", lambda *a, **k: FakeResponse(429)
-    )
+def test_http_429_exhaustion(setup, chat_server):
+    chat_server.script = [reply(429)] * 3
     with pytest.raises(RateLimitedExhausted) as err:
-        complete(make_prompt(setup), http_cfg(max_retries=2))
+        complete(make_prompt(setup), http_cfg(chat_server, max_retries=2))
     assert len(err.value.attempts) == 3
+    assert len(chat_server.received) == 3
 
 
-def test_http_5xx_then_success_retries(setup, monkeypatch):
-    monkeypatch.setenv("RELM_API_KEY", "sk-test")
-    responses = [FakeResponse(503), FakeResponse(200, good_payload())]
-    monkeypatch.setattr(
-        "relm.lmclient.requests.post", lambda *a, **k: responses.pop(0)
-    )
-    response = complete(make_prompt(setup), http_cfg())
+def test_http_5xx_then_success_retries(setup, chat_server):
+    chat_server.script = [reply(503), reply(200, good_payload())]
+    response = complete(make_prompt(setup), http_cfg(chat_server))
     assert response.attempt_count == 2
 
 
-def test_http_timeout_exhaustion(setup, monkeypatch):
-    monkeypatch.setenv("RELM_API_KEY", "sk-test")
-
-    def always_timeout(*a, **k):
-        raise requests.Timeout("too slow")
-
-    monkeypatch.setattr("relm.lmclient.requests.post", always_timeout)
-    with pytest.raises(Timeout):
-        complete(make_prompt(setup), http_cfg(max_retries=1))
+def test_http_timeout_exhaustion(setup, chat_server):
+    # both replies stall far past the 100 ms timeout
+    chat_server.script = [stall, stall]
+    with pytest.raises(Timeout) as err:
+        complete(make_prompt(setup), http_cfg(chat_server, max_retries=1, timeout_ms=100))
+    assert len(err.value.attempts) == 2
+    assert all("timed out" in line for line in err.value.attempts)
 
 
-def test_http_malformed_body_is_not_retried(setup, monkeypatch):
-    monkeypatch.setenv("RELM_API_KEY", "sk-test")
-    calls = []
-
-    def fake_post(*a, **k):
-        calls.append(1)
-        return FakeResponse(200, {"unexpected": True})
-
-    monkeypatch.setattr("relm.lmclient.requests.post", fake_post)
+def test_http_malformed_body_is_not_retried(setup, chat_server):
+    chat_server.script = [reply(200, b'{"unexpected": true}')] * 4
     with pytest.raises(MalformedResponse):
-        complete(make_prompt(setup), http_cfg(max_retries=3))
-    assert len(calls) == 1
+        complete(make_prompt(setup), http_cfg(chat_server, max_retries=3))
+    assert len(chat_server.received) == 1
+
+
+def test_http_short_body_is_retried_then_times_out(setup, chat_server):
+    chat_server.script = [reply(200, good_payload(), missing=50)] * 2
+    with pytest.raises(Timeout) as err:
+        complete(make_prompt(setup), http_cfg(chat_server, max_retries=1))
+    assert len(err.value.attempts) == 2
+    assert len(chat_server.received) == 2
+
+
+def test_http_netrc_does_not_replace_the_key(setup, chat_server, tmp_path, monkeypatch):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login alice password secret\n")
+    monkeypatch.setenv("NETRC", str(netrc))
+    chat_server.script = [reply(200, good_payload())]
+    complete(make_prompt(setup), http_cfg(chat_server))
+    assert chat_server.received[0][1]["Authorization"] == "Bearer sk-test"
 
 
 # ---- pipeline invariants ----

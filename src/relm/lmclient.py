@@ -151,10 +151,21 @@ class BackendConfig:
             raise ValueError("backoff_base_s must be a finite number >= 0")
         if self.kind == BackendKind.HTTP:
             url = urllib.parse.urlsplit(self.endpoint)
-            if url.scheme not in ("http", "https") or not url.hostname:
+            try:
+                port_ok = url.port != 0
+            except ValueError:  # a non-numeric or out-of-range port
+                port_ok = False
+            if (
+                url.scheme not in ("http", "https")
+                or not url.hostname
+                or not port_ok
+                or re.search(r"[^\x21-\x7e]", self.endpoint)
+            ):
                 raise ValueError(
                     f"http backend needs an http:// or https:// endpoint "
-                    f"with a host, got {self.endpoint!r}"
+                    f"with a host, a port in 1-65535 if any, and only "
+                    f"printable ASCII (percent-encode spaces and the rest), "
+                    f"got {self.endpoint!r}"
                 )
         if self.kind == BackendKind.MOCK and not self.mock_script:
             raise ValueError("mock backend needs a mock_script")
@@ -176,6 +187,14 @@ class LmResponse:
 # ---- backends ----
 
 
+class _NoRedirects(urllib.request.HTTPRedirectHandler):
+    """Follow no redirect, so the key never leaves the configured endpoint:
+    a 3xx reply reaches the status mapping as an unexpected status."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
 class HttpBackend:
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
@@ -188,6 +207,7 @@ class HttpBackend:
             "Authorization": f"Bearer {key}",
             "Content-Type": "application/json",
         }
+        self._opener = urllib.request.build_opener(_NoRedirects)
 
     instrumented = True  # latency is measured wall time
 
@@ -202,10 +222,11 @@ class HttpBackend:
         request = urllib.request.Request(url, json.dumps(body).encode(), self._headers)
         try:
             try:
-                with urllib.request.urlopen(request, timeout=cfg.timeout_ms / 1000.0) as reply:
+                with self._opener.open(request, timeout=cfg.timeout_ms / 1000.0) as reply:
                     status, raw = reply.status, reply.read()
             except urllib.error.HTTPError as exc:
-                status, raw = exc.code, exc.read()
+                with exc:
+                    status, raw = exc.code, exc.read()
         except TimeoutError as exc:
             raise _Transient("timeout", f"request timed out: {exc}") from exc
         except (OSError, http.client.HTTPException) as exc:

@@ -273,7 +273,15 @@ def test_missing_config_file_exits_2(workspace, tmp_path, capsys):
                 {"backend": {**HTTP_BACKEND, "endpoint": endpoint}},
                 "backend: http backend needs an http:// or https:// endpoint",
             )
-            for endpoint in ("api.example.com/v1", "ftp://example.com/v1", "http://")
+            for endpoint in (
+                "api.example.com/v1",
+                "ftp://example.com/v1",
+                "http://",
+                "http://example.com:abc/v1",
+                "http://example.com:70000/v1",
+                "http://example.com/my v1",
+                "http://example.com/v1\x00",
+            )
         ),
         *(
             ({"backend": {**HTTP_BACKEND, name: value}}, f"backend: {name} must be a finite number")

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import sys
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -142,6 +143,12 @@ def test_parsed_answer_invariants():
         {"kind": BackendKind.HTTP, "endpoint": "api.example.com/v1"},
         {"kind": BackendKind.HTTP, "endpoint": "ftp://example.com/v1"},
         {"kind": BackendKind.HTTP, "endpoint": "http://"},
+        {"kind": BackendKind.HTTP, "endpoint": "http://example.com:abc/v1"},
+        {"kind": BackendKind.HTTP, "endpoint": "http://example.com:70000/v1"},
+        {"kind": BackendKind.HTTP, "endpoint": "http://example.com:0/v1"},
+        {"kind": BackendKind.HTTP, "endpoint": "http://example.com/my v1"},
+        {"kind": BackendKind.HTTP, "endpoint": "http://example.com/v1\n"},
+        {"kind": BackendKind.HTTP, "endpoint": "http://example.com/v\u00e9"},
     ],
 )
 def test_backend_config_rejects(kwargs):
@@ -307,8 +314,9 @@ def test_oracle_defaults_to_first_letter_without_truth(setup):
 
 
 class ChatServer(ThreadingHTTPServer):
-    """Loopback endpoint: each POST is recorded as (path, headers, JSON
-    body) and answered by the next entry of ``script``."""
+    """Loopback endpoint: each request is recorded as (method, path,
+    headers, JSON body or None) and answered by the next entry of
+    ``script``."""
 
     daemon_threads = True
 
@@ -324,17 +332,22 @@ class ChatHandler(BaseHTTPRequestHandler):
         pass
 
     def do_POST(self):
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        self.server.received.append((self.path, self.headers, json.loads(body)))
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        record = (self.command, self.path, self.headers, json.loads(body) if body else None)
+        self.server.received.append(record)
         self.server.script.pop(0)(self)
 
+    do_GET = do_POST
 
-def reply(status, payload=b"", missing=0):
+
+def reply(status, payload=b"", missing=0, location=None):
     """A scripted reply whose Content-Length promises ``missing`` bytes
     more than it sends before the server closes the connection."""
 
     def send(handler):
         handler.send_response(status)
+        if location is not None:
+            handler.send_header("Location", location)
         handler.send_header("Content-Type", "application/json")
         handler.send_header("Content-Length", str(len(payload) + missing))
         handler.end_headers()
@@ -347,9 +360,8 @@ def stall(handler):
     handler.server.release.wait(10)
 
 
-@pytest.fixture
-def chat_server(monkeypatch):
-    monkeypatch.setenv("RELM_API_KEY", "sk-test")
+@contextmanager
+def serving():
     server = ChatServer()
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
@@ -359,6 +371,13 @@ def chat_server(monkeypatch):
     server.server_close()
     thread.join(5)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    monkeypatch.setenv("RELM_API_KEY", "sk-test")
+    with serving() as server:
+        yield server
 
 
 def good_payload(content="Answer: B"):
@@ -401,7 +420,8 @@ def test_http_success_posts_chat_completions(setup, chat_server):
     response = complete(make_prompt(setup), http_cfg(chat_server))
     assert response.text == "Answer: B"
     assert response.attempt_count == 1
-    [(path, headers, body)] = chat_server.received
+    [(method, path, headers, body)] = chat_server.received
+    assert method == "POST"
     assert path == "/v1/chat/completions"
     assert headers["Authorization"] == "Bearer sk-test"
     assert headers["Content-Type"] == "application/json"
@@ -459,7 +479,20 @@ def test_http_netrc_does_not_replace_the_key(setup, chat_server, tmp_path, monke
     monkeypatch.setenv("NETRC", str(netrc))
     chat_server.script = [reply(200, good_payload())]
     complete(make_prompt(setup), http_cfg(chat_server))
-    assert chat_server.received[0][1]["Authorization"] == "Bearer sk-test"
+    assert chat_server.received[0][2]["Authorization"] == "Bearer sk-test"
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_http_redirect_is_not_followed(setup, chat_server, status):
+    # the key must never reach the redirect target, which may be another host
+    with serving() as other:
+        other.script = [reply(200, good_payload())]
+        target = f"http://127.0.0.1:{other.server_port}/v1/chat/completions"
+        chat_server.script = [reply(status, location=target)]
+        with pytest.raises(MalformedResponse, match=f"unexpected status {status}"):
+            complete(make_prompt(setup), http_cfg(chat_server))
+        assert len(chat_server.received) == 1
+        assert other.received == []
 
 
 # ---- pipeline invariants ----

@@ -34,6 +34,7 @@ from .corpus import (
     load_record,
     save_index,
 )
+from .molecules import MoleculeTable
 from .encoder import (
     EncoderConfig,
     FormatError,
@@ -203,7 +204,8 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 @dataclass(frozen=True)
 class _Inputs:
-    """The files one command reads: weights, index, datasets, IUPAC table, templates."""
+    """The files one command reads: weights, index, datasets, IUPAC table,
+    templates; and the command's molecule table, which read them."""
 
     weights: GnnWeights
     corpus: ProductCorpus
@@ -211,6 +213,7 @@ class _Inputs:
     records: list[ReactionRecord]
     iupac_table: dict[str, str] | None
     templates: TemplateSet | None
+    molecules: MoleculeTable
 
     @classmethod
     def load(cls, cfg: RunConfig, eval_dataset: str | None = None) -> _Inputs:
@@ -218,16 +221,19 @@ class _Inputs:
         _require(cfg, "weights", "index", "dataset")
         weights = load_weights(cfg.weights)
         corpus = load_index(cfg.index)
-        train = load_dataset(cfg.dataset)
-        records = load_dataset(eval_dataset) if eval_dataset else train
+        molecules = corpus.molecules  # the table that keyed the index reads the datasets
+        train = load_dataset(cfg.dataset, molecules)
+        records = load_dataset(eval_dataset, molecules) if eval_dataset else train
         table = cfg.iupac and read_json(cfg.iupac, ConfigError)
         iupac_table = convert(table, dict[str, str] | None, f"{cfg.iupac}: iupac", ConfigError)
         templates = TemplateSet.load(cfg.templates) if cfg.templates else None
-        return cls(weights, corpus, train, records, iupac_table, templates)
+        return cls(weights, corpus, train, records, iupac_table, templates, molecules)
 
     def pipelines(self, cfg: RunConfig, ks: Sequence[int]) -> Iterator[Pipeline]:
         """One pipeline per K, all on one retrieval state."""
-        state = RetrievalState(self.corpus, self.train, self.weights, FeatureConfig())
+        state = RetrievalState(
+            self.corpus, self.train, self.weights, FeatureConfig(), self.molecules
+        )
         for k in ks:
             yield Pipeline(
                 self.corpus,
@@ -264,8 +270,9 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, _overrides(args), skip_exists=("index",))
     _require(cfg, "weights", "dataset")
     weights = load_weights(cfg.weights)
-    records = load_dataset(cfg.dataset)
-    corpus = corpus_from_records(records, weights, FeatureConfig())
+    molecules = MoleculeTable()
+    records = load_dataset(cfg.dataset, molecules)
+    corpus = corpus_from_records(records, weights, FeatureConfig(), molecules)
     save_index(corpus, args.out)
     print(
         f"wrote {args.out}: {len(corpus.entries)} entries "
@@ -393,6 +400,7 @@ def cmd_compare_strategies(args: argparse.Namespace) -> int:
         max_concurrency=cfg.max_concurrency,
         iupac_table=inputs.iupac_table,
         templates=inputs.templates,
+        molecules=inputs.molecules,
     )
     write_strategy_csv(rows, args.out)
     for row in rows:
@@ -410,7 +418,8 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         args.config, _overrides(args), skip_exists=("weights", "index")
     )
     _require(cfg, "dataset")
-    records = load_dataset(cfg.dataset)
+    molecules = MoleculeTable()
+    records = load_dataset(cfg.dataset, molecules)
     if len(records) < 2:
         raise DatasetError(f"{cfg.dataset}: training needs at least two reactions")
     feature_cfg = FeatureConfig()
@@ -440,7 +449,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     save_weights(result.weights, args.out_weights)
     trace = "".join(f"{epoch},{loss!r}\n" for epoch, loss in enumerate(result.loss_trace))
     write_file(args.out_trace, "epoch,loss\n" + trace, ConfigError)
-    corpus = corpus_from_records(records, result.weights, feature_cfg)
+    corpus = corpus_from_records(records, result.weights, feature_cfg, molecules)
     score = hit_at_k(records, corpus, result.weights, feature_cfg, 1)
     print(f"wrote {args.out_weights} and {args.out_trace}")
     print(f"final hit@1: {score:.4f}")

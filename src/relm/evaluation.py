@@ -23,6 +23,7 @@ from .corpus import ProductCorpus, ReactionRecord, RetrievalState, top_k_candida
 from .encoder import GnnWeights
 from .lmclient import BackendConfig, Pipeline, PredictionResult, mes_vote, run_dataset
 from .loading import write_file
+from .molecules import MoleculeTable
 from .molgraph import FeatureConfig
 from .prompt import PromptConfig, Strategy, TemplateSet
 
@@ -410,6 +411,7 @@ def compare_strategies(
     max_concurrency: int = 4,
     iupac_table: dict[str, str] | None = None,
     templates: TemplateSet | None = None,
+    molecules: MoleculeTable | None = None,
 ) -> list[StrategyRow]:
     """One row per strategy over identical samples, seeds and corpus.
 
@@ -417,11 +419,12 @@ def compare_strategies(
     with the given IUPAC table and templates, so rows cannot contaminate
     each other; MES rows report the full multi-run token total per sample.
     The rows share one retrieval state, so the training set is embedded at
-    most once.
+    most once, and its products are keyed in the command's molecule table
+    when one is given.
     """
     if not records:
         raise ValueError("strategy comparison needs at least one record")
-    state = RetrievalState(corpus, train, weights, feature_cfg)
+    state = RetrievalState(corpus, train, weights, feature_cfg, molecules)
     rows = []
     for strategy in strategies:
         cfg = replace(prompt_cfg, strategy=strategy)

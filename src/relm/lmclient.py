@@ -41,7 +41,7 @@ from .corpus import (
     select_examples,
     top_k_candidates,
 )
-from .encoder import GnnWeights
+from .encoder import Embedding, GnnWeights, embed_set
 from .loading import convert, convert_fields, read_json
 from .molgraph import FeatureConfig
 from .prompt import (
@@ -202,6 +202,11 @@ class HttpBackend:
         if not key:
             raise AuthFailure(
                 f"no API key: set the {cfg.api_key_env} environment variable"
+            )
+        if re.search(r"[^\x21-\x7e]", key):  # a header value http.client cannot send
+            raise AuthFailure(
+                f"the API key in {cfg.api_key_env} must be printable ASCII "
+                f"with no space, tab or line break"
             )
         self._headers = {
             "Authorization": f"Bearer {key}",
@@ -624,7 +629,7 @@ class Pipeline:
     def _embeddings(self):
         return self.state.embeddings()
 
-    def _build_context(self, query: ReactionRecord) -> list[InContextExample]:
+    def _build_context(self, query: ReactionRecord, vector: Embedding) -> list[InContextExample]:
         cfg = self.prompt_cfg
         if not cfg.strategy.shows_examples:
             return []
@@ -636,6 +641,7 @@ class Pipeline:
             self.weights,
             self.feature_cfg,
             train_embeddings=embeddings,
+            query_embedding=vector,
         )
         examples = build_context(
             ranking[: cfg.n],
@@ -656,15 +662,14 @@ class Pipeline:
     def _prepare(
         self, query: ReactionRecord
     ) -> tuple[CandidateList, RenderedPrompt, list[InContextExample]]:
-        """Retrieve, build the context and render: predict() minus the backend."""
+        """Retrieve, build the context and render: predict() minus the backend.
+
+        The query is embedded once, for its own scan and its examples' ranking."""
+        vector = embed_set(query.reactant_graphs(), self.weights, self.feature_cfg)
         candidates = top_k_candidates(
-            query.reactant_graphs(),
-            self.corpus,
-            self.prompt_cfg.k,
-            self.weights,
-            self.feature_cfg,
+            vector, self.corpus, self.prompt_cfg.k, self.weights, self.feature_cfg
         )
-        context = self._build_context(query)
+        context = self._build_context(query, vector)
         prompt = render(
             query,
             candidates,

@@ -12,6 +12,7 @@ import json
 import os
 import reprlib
 from contextlib import contextmanager
+from dataclasses import fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -113,7 +114,10 @@ def convert_fields(data: dict, cls: type, prefix: str, error: type[Exception]) -
 
 @cache
 def _field_checks(cls: type) -> dict[str, Callable[[Any], Any]]:
-    return {name: _converter(kind) for name, kind in get_type_hints(cls).items()}
+    """A converter per field a file may fill; ``metadata={"file": False}``
+    marks a field only the program sets."""
+    hints = get_type_hints(cls)
+    return {f.name: _converter(hints[f.name]) for f in fields(cls) if f.metadata.get("file", True)}
 
 
 class _Mismatch(Exception):

@@ -10,12 +10,16 @@ import pytest
 
 import relm.cli
 import relm.encoder
+import relm.encoder.training
+import relm.molecules
+import relm.molgraph.canonical
+import relm.molgraph.parser
 import relm.prompt
 from relm.cli import main
 from relm.corpus import CssConfig, corpus_from_records, save_dataset, save_index
 from relm.encoder import EncoderConfig, random_init, save_weights
 from relm.lmclient import BackendConfig
-from relm.molgraph import FeatureConfig
+from relm.molgraph import FeatureConfig, parse_smiles
 from relm.synthetic import synthetic_reactions
 
 FEATURE_CFG = FeatureConfig()
@@ -395,6 +399,24 @@ def test_http_without_key_exits_2_naming_variable(
     )
     assert code == 2
     assert "RELM_API_KEY" in capsys.readouterr().err
+
+
+def test_http_key_with_a_line_break_exits_2_without_echoing_it(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    ws, base, _ = workspace
+    monkeypatch.setenv("RELM_API_KEY", "sk-secret\nX-Injected: 1")
+    cfg_path = write_config(
+        tmp_path / "cfg.json",
+        base,
+        backend={"kind": "http", "endpoint": "http://example.invalid/v1"},
+    )
+    code = main(
+        ["predict", "--config", cfg_path, "--reaction", str(ws / "query.json")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "RELM_API_KEY" in err and "sk-secret" not in err
 
 
 def test_backend_failure_exits_1(workspace, tmp_path, capsys):
@@ -900,41 +922,102 @@ def test_non_numeric_or_infinite_embedding_exits_2(workspace, tmp_path, capsys, 
 # ---- one training-set embedding per command ----
 
 
-def count_embed_set(monkeypatch):
-    """Count embed_set calls, wherever a relm module imported it."""
+def count_calls(monkeypatch, original):
+    """Count calls of a relm function, wherever a relm module imported it."""
     calls = []
-    original = relm.encoder.embed_set
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("relm") and getattr(module, "embed_set", None) is original:
-            monkeypatch.setattr(module, "embed_set", counted)
+        if name.startswith("relm"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
     return calls
 
 
 @pytest.mark.parametrize(
-    "command,embeddings",
+    "command,embeds",
     [
-        (["evaluate", "--strategy", "css", "--k", "2..4"], 1),
-        (["compare-strategies", "--strategies", "css,fine_grained_css"], 1),
-        (["evaluate", "--strategy", "zero_shot", "--k", "2..4"], 0),
+        (["evaluate", "--strategy", "css", "--k", "2..4"], True),
+        (["compare-strategies", "--strategies", "css,fine_grained_css"], True),
+        (["evaluate", "--strategy", "zero_shot", "--k", "2..4"], False),
     ],
     ids=["evaluate_k_sweep", "compare_strategies", "zero_shot"],
 )
 def test_training_set_is_embedded_at_most_once(
-    workspace, tmp_path, monkeypatch, command, embeddings
+    workspace, tmp_path, monkeypatch, command, embeds
 ):
-    # one query, so its own embed_set calls stay below one training-set pass
+    # the command's molecule table embeds each fragment of each distinct
+    # reactant string once, however many K or strategies read the rows;
+    # the index brings its own embeddings and the query goes through embed_set
     ws, _, train = workspace
     save_dataset(train[:1], tmp_path / "one.jsonl")
     outputs = ["--out", str(tmp_path / "rows.csv")] if command[0] == "compare-strategies" else [
         "--out-dir", str(tmp_path / "reports")
     ]
-    calls = count_embed_set(monkeypatch)
+    distinct = {smiles for record in train for smiles in record.reactants}
+    fragments = sum(len(parse_smiles(smiles)) for smiles in distinct)
+    assert fragments < sum(len(record.reactant_graphs()) for record in train)  # some repeat
+    calls = []
+    original = relm.molecules.embed_molecule
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(relm.molecules, "embed_molecule", counted)
     code = main([*command, *outputs, "--config", str(ws / "config.json"),
                  "--eval-dataset", str(tmp_path / "one.jsonl")])
     assert code == 0
-    assert len(calls) // len(train) == embeddings
+    assert len(calls) == (fragments if embeds else 0)
+
+
+def _parse_and_key_calls(monkeypatch):
+    return (
+        count_calls(monkeypatch, relm.molgraph.parser.parse_smiles),
+        count_calls(monkeypatch, relm.molgraph.canonical.canonical_key),
+    )
+
+
+def test_commands_share_no_molecule_table(workspace, tmp_path, monkeypatch):
+    # each command builds its own table: evaluate right after build-index in
+    # one process parses and keys exactly as much as evaluate alone
+    ws, base, _ = workspace
+    cfg_path = write_config(tmp_path / "cfg.json", base, index=str(tmp_path / "idx.json"))
+    evaluate = ["evaluate", "--config", cfg_path, "--out-dir", str(tmp_path / "reports")]
+    assert main(["build-index", "--config", cfg_path, "--out", str(tmp_path / "idx.json")]) == 0
+    parses, keys = _parse_and_key_calls(monkeypatch)
+    assert main(evaluate) == 0
+    alone = (len(parses), len(keys))
+    assert alone[0] and alone[1]
+    parses.clear()
+    keys.clear()
+    assert main(["build-index", "--config", cfg_path, "--out", str(tmp_path / "idx.json")]) == 0
+    parses.clear()
+    keys.clear()
+    assert main(evaluate) == 0
+    assert (len(parses), len(keys)) == alone
+
+
+def test_train_toy_keys_nothing_before_its_first_epoch(workspace, tmp_path, monkeypatch):
+    ws, _, _ = workspace
+    _, keys = _parse_and_key_calls(monkeypatch)
+    keyed_at_first_epoch = []
+    real = relm.encoder.training.contrastive_loss_and_grad
+
+    def epoch(*args, **kwargs):
+        if not keyed_at_first_epoch:
+            keyed_at_first_epoch.append(len(keys))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(relm.encoder.training, "contrastive_loss_and_grad", epoch)
+    code = main([
+        "train-toy", "--config", str(ws / "config.json"), "--epochs", "2",
+        "--out-weights", str(tmp_path / "w.json"), "--out-trace", str(tmp_path / "t.csv"),
+    ])
+    assert code == 0
+    assert keyed_at_first_epoch == [0]
+    assert keys  # the index and hit@1 after training key the products

@@ -205,6 +205,84 @@ def test_select_examples_n_zero_and_n_too_large(setup):
     assert sorted(everything) == list(range(len(train)))
 
 
+# ---- the lazy ranking ----
+
+
+def full_lexsort_ranking(table, query_values, query_id):
+    """Every row but the query's, ranked by one np.lexsort on (-similarity,
+    id rank), the ranking select_examples orders lazily."""
+    rows = np.flatnonzero(table.ids != query_id)
+    query_norm = float(np.sqrt(np.dot(query_values, query_values)))
+    similarity = np.vecdot(table.matrix[rows], query_values) / (query_norm * table.norms[rows])
+    return rows[np.lexsort((table.id_rank[rows], -similarity))].tolist()
+
+
+def tied_table(group_sizes, seed, dim=8):
+    """Rows in groups of identical vectors, so each group ties exactly; the
+    groups' cosine to e_0 falls group by group.  Rows and ids are shuffled,
+    and the query's id "q" names two rows."""
+    rng = np.random.default_rng(seed)
+    rest = rng.normal(scale=0.01, size=dim - 2)
+    vectors = []
+    for group, size in enumerate(group_sizes):
+        vectors += [np.concatenate(([1.0, 0.01 * group], rest))] * size
+    vectors = [vectors[i] for i in rng.permutation(len(vectors))]
+    ids = [f"r-{i}" for i in rng.permutation(len(vectors))]
+    ids[len(ids) // 3] = ids[len(ids) // 2] = "q"
+    train = [ReactionRecord(id=i, reactants=("C",), products=("C",)) for i in ids]
+    return train, TrainingEmbeddings(train, [Embedding(v) for v in vectors])
+
+
+@pytest.mark.parametrize(
+    "group_sizes",
+    [
+        # a tie group across the first cut (64), then one across the second (256)
+        [60, 10, 180, 20] + [1] * 130,
+        [63, 2, 190, 3, 1, 1, 40],
+        [150],  # every similarity equal: the id order alone
+        [3, 2, 4],  # fewer rows than the first cut
+        [1] * 700,  # read past four cuts' worth of rows
+    ],
+    ids=["ties-at-64-and-256", "ties-one-past-each-cut", "all-equal", "smaller-than-cut", "distinct"],
+)
+def test_lazy_ranking_equals_the_full_lexsort(setup, group_sizes):
+    weights, _, _ = setup
+    train, table = tied_table(group_sizes, seed=len(group_sizes))
+    query = ReactionRecord(id="q", reactants=("C",), products=("C",))
+    q = np.zeros(table.matrix.shape[1])
+    q[0] = 1.0
+    want = full_lexsort_ranking(table, q, "q")
+
+    def ranking():
+        return select_examples(
+            query, train, len(train), weights, FEATURE_CFG,
+            train_embeddings=table, query_embedding=Embedding(q),
+        )
+
+    assert list(ranking()) == want
+    late = ranking()  # read far down first, then from the top
+    assert late[len(want) - 1] == want[-1] and late[len(want) // 2] == want[len(want) // 2]
+    assert list(late) == want
+    walked = ranking()
+    head, tail = walked[:3], walked[3:]
+    assert list(head) + list(tail) == want
+    assert list(tail) == list(tail) == want[3:]  # a slice reads again, in order
+    for n in (0, 1, 41, 64, 65, 300):
+        assert select_examples(
+            query, train, n, weights, FEATURE_CFG,
+            train_embeddings=table, query_embedding=Embedding(q),
+        ) == want[:n]
+
+
+def test_context_fallback_from_the_ranking_reads_again_in_walk_order(setup):
+    # perfbench's tracer walks build_context's fallback again after the call
+    weights, train, corpus = setup
+    ranking = select_examples(train[0], train, len(train), weights, FEATURE_CFG)
+    fallback = ranking[3:]
+    build_context(ranking[:3], train, corpus, 1, weights, FEATURE_CFG, fallback=fallback)
+    assert list(fallback) == list(fallback) == list(ranking)[3:]
+
+
 # ---- context assembly ----
 
 

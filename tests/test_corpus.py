@@ -1,6 +1,8 @@
 """Dataset IO, the product index, and nearest-neighbor retrieval."""
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relm import corpus as corpus_module
+from relm import molecules as molecules_module
 from relm.corpus import (
     Candidate,
     CandidateList,
@@ -18,6 +21,7 @@ from relm.corpus import (
     FingerprintMismatch,
     ProductCorpus,
     ReactionRecord,
+    TrainingEmbeddings,
     ZeroNormEmbedding,
     build_index,
     check_fingerprint,
@@ -25,13 +29,17 @@ from relm.corpus import (
     cosine,
     load_dataset,
     load_index,
+    molecules_key,
+    parse_side,
     save_dataset,
     save_index,
+    top_k_block,
     top_k_by_embedding,
     top_k_candidates,
 )
 from relm.encoder import Embedding, EncoderConfig, GnnWeights, embed_set, random_init
-from relm.molgraph import FeatureConfig
+from relm.molecules import MoleculeTable, embed_sides
+from relm.molgraph import FeatureConfig, SmilesError, parse_smiles
 from relm.synthetic import synthetic_reactions
 
 from helpers import reference_distance
@@ -448,3 +456,196 @@ def test_load_index_rejects_malformed_files(tmp_path):
     path.write_text(json.dumps(payload).replace(str(entry["embedding"][0]), "1e400", 1))
     with pytest.raises(DatasetError, match="entry 0: embedding must be finite"):
         load_index(path)
+
+
+# ---- the molecule table ----
+
+
+def hand_made_records():
+    # dot-separated strings, strings repeated across records and across
+    # sides, and a string that is a fragment of another
+    return [
+        ReactionRecord(id="h-0", reactants=("CCO.O", "N"), products=("CC=O.O",)),
+        ReactionRecord(id="h-1", reactants=("O", "CCO.O"), products=("CCO",)),
+        ReactionRecord(id="h-2", reactants=("CCO",), products=("O", "CCO.O")),
+        ReactionRecord(id="h-3", reactants=("c1ccccc1", "O.O"), products=("CCO.O", "N")),
+        ReactionRecord(id="h-4", reactants=("CCO.O", "N"), products=("OCC.O",)),
+    ]
+
+
+def table_workspaces():
+    return [
+        pytest.param(lambda: synthetic_reactions(40, seed=11), id="synthetic-40"),
+        pytest.param(lambda: synthetic_reactions(120, seed=12), id="synthetic-120"),
+        pytest.param(hand_made_records, id="hand-made"),
+    ]
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("make_records", table_workspaces())
+def test_table_keys_and_embeddings_equal_parsing_each_side(tmp_path, make_records):
+    records = make_records()
+    weights = make_weights(seed=9)
+    save_dataset(records, tmp_path / "data.jsonl")
+    table = MoleculeTable()
+    loaded = load_dataset(tmp_path / "data.jsonl", table)
+    assert loaded == records
+    for record in loaded:
+        assert record.molecules is table
+        assert record.product_key() == molecules_key(parse_side(record.products))
+        assert table.set_key(record.reactants) == molecules_key(parse_side(record.reactants))
+    embedded = TrainingEmbeddings.embed(loaded, weights, FEATURE_CFG)
+    products = embed_sides([r.products for r in loaded], weights, FEATURE_CFG)
+    for reactants, product_row, record in zip(embedded.matrix, products, loaded):
+        want = embed_set(parse_side(record.reactants), weights, FEATURE_CFG).values
+        assert bits(reactants) == bits(want)
+        want = embed_set(parse_side(record.products), weights, FEATURE_CFG).values
+        assert bits(product_row) == bits(want)
+    # the index, built with the same table and with a new one, as from parsing
+    for molecules in (table, None):
+        corpus = corpus_from_records(loaded, weights, FEATURE_CFG, molecules)
+        for entry in corpus.entries:
+            assert entry.keys == molecules_key(parse_side(entry.products))
+            want = embed_set(parse_side(entry.products), weights, FEATURE_CFG).values
+            assert bits(entry.embedding.values) == bits(want)
+    save_index(corpus, tmp_path / "index.json")
+    reloaded = load_index(tmp_path / "index.json", table)
+    assert [e.keys for e in reloaded.entries] == [e.keys for e in corpus.entries]
+    assert reloaded.molecules is table
+
+
+def test_table_parses_each_distinct_string_once(tmp_path, monkeypatch):
+    records = hand_made_records()
+    weights = make_weights(seed=9)
+    save_dataset(records, tmp_path / "data.jsonl")
+    calls = []
+    real = molecules_module.parse_smiles
+    monkeypatch.setattr(
+        molecules_module, "parse_smiles", lambda smiles: calls.append(smiles) or real(smiles)
+    )
+    table = MoleculeTable()
+    load_dataset(tmp_path / "data.jsonl", table)
+    distinct = {s for r in records for s in r.reactants + r.products}
+    assert sorted(calls) == sorted(distinct)
+    calls.clear()
+    for record in records:
+        table.set_key(record.products)
+        table.set_key(record.products)
+    assert sorted(calls) == sorted({s for r in records for s in r.products})
+    calls.clear()
+    embed_sides([r.reactants for r in records], weights, FEATURE_CFG)
+    assert sorted(calls) == sorted({s for r in records for s in r.reactants})
+
+
+def test_table_shared_by_threads_gives_what_a_serial_table_gives():
+    # threads race to check and key the same strings; a lost update, or a
+    # key overwritten by a check, would show as a wrong or missing key
+    records = synthetic_reactions(60, seed=13) + hand_made_records()
+    sides = [r.reactants for r in records] + [r.products for r in records]
+    serial = MoleculeTable()
+    want = [serial.set_key(side) for side in sides]
+    shared = MoleculeTable()
+
+    def work(order):
+        keys = []
+        for i in order:
+            shared.check(sides[i])
+            keys.append(shared.set_key(sides[i]))
+        return keys
+
+    orders = [np.random.default_rng(seed).permutation(len(sides)).tolist() for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work, order) for order in orders]
+            for order, future in zip(orders, futures):
+                assert future.result(timeout=60) == [want[i] for i in order]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [shared.set_key(side) for side in sides] == want
+
+
+def smiles_error_text(smiles):
+    with pytest.raises(SmilesError) as excinfo:
+        parse_smiles(smiles)
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("bad", ["C((", "Xx", "CCO.C1CC"])
+def test_table_readers_name_a_bad_smiles_as_before(tmp_path, bad):
+    # a table that has already seen the good strings changes no message, and
+    # a string that failed is never remembered as parsing
+    weights = make_weights()
+    reason = smiles_error_text(bad)
+    table = MoleculeTable()
+    path = tmp_path / "data.jsonl"
+    rows = [
+        {"id": "ok", "reactants": ["CCO"], "products": ["CC=O"]},
+        {"id": "bad", "reactants": ["CCO"], "products": [bad]},
+        {"id": "worse", "reactants": [bad], "products": ["CC=O"]},
+    ]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    for _ in range(2):
+        with pytest.raises(DatasetError) as excinfo:
+            load_dataset(path, table)
+        assert str(excinfo.value) == f"{path}:2: record 'bad' has unparseable SMILES: {reason}"
+    for _ in range(2):
+        with pytest.raises(DatasetError) as excinfo:
+            build_index([("a", ["CCO"]), ("b", ["CC=O", bad])], weights, FEATURE_CFG, table)
+        assert str(excinfo.value) == f"product set 'b' has unparseable SMILES: {reason}"
+    index = tmp_path / "index.json"
+    save_index(build_index([("a", ["CCO"]), ("b", ["CC=O"])], weights, FEATURE_CFG), index)
+    payload = json.loads(index.read_text())
+    payload["entries"][1]["products"] = ["CCO", bad]
+    index.write_text(json.dumps(payload))
+    for molecules in (table, None):
+        with pytest.raises(DatasetError) as excinfo:
+            load_index(index, molecules)
+        assert str(excinfo.value) == f"{index}: entry 1: unparseable product SMILES: {reason}"
+
+
+# ---- block scans ----
+
+
+def scan_bits(candidates):
+    return (
+        [(c.entry_id, bits(c.distance)) for c in candidates.entries],
+        candidates.short,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases(), st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_block_scan_equals_one_row_scans_bit_for_bit(case, block_size, seed):
+    # rows of the block: the drawn query, copies of it (repeated rows), corpus
+    # rows (exact ties at distance 0) and nudged copies of those
+    corpus, v, k = case
+    rng = np.random.default_rng(seed)
+    pool = [v, v.copy(), *corpus.matrix, *(corpus.matrix + 2.0**-26)]
+    block = np.array([pool[i] for i in rng.integers(len(pool), size=block_size)])
+    got = top_k_block(block, corpus, k)
+    assert len(got) == block_size
+    for row, candidates in zip(block, got):
+        assert scan_bits(candidates) == scan_bits(top_k_by_embedding(Embedding(row), corpus, k))
+        want = diff_based_top_k(corpus, row, k)
+        assert [(c.distance, c.entry_id) for c in candidates.entries] == want
+
+
+def test_block_scan_breaks_kth_ties_by_id_and_handles_short_corpora():
+    # four entries at distance 1 from the origin tie at every k
+    rows = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [3.0, 0.0]]
+    corpus = corpus_of_rows(rows, ids=["d", "b", "c", "a", "e"])
+    block = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0]])
+    for k in range(1, 8):
+        got = top_k_block(block, corpus, k)
+        assert [c.entry_id for c in got[0].entries] == ["a", "b", "c", "d", "e"][:k]
+        assert got[0] == got[1]
+        for row, candidates in zip(block, got):
+            assert candidates.short == (k > len(rows))
+            assert scan_bits(candidates) == scan_bits(top_k_by_embedding(Embedding(row), corpus, k))
+    with pytest.raises(DimMismatch):
+        top_k_block(np.zeros((2, 3)), corpus, 1)

@@ -403,6 +403,18 @@ def test_http_missing_key_is_auth_failure(monkeypatch):
     assert "RELM_API_KEY" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["sk-test\nX-Injected: 1", "sk-test\r", "sk t", "sk-tést", "sk-\u2603"])
+def test_http_key_that_cannot_be_a_header_is_auth_failure(monkeypatch, key):
+    # http.client raises ValueError or UnicodeEncodeError on such a value,
+    # which would end the run as an internal error; the key is not echoed
+    monkeypatch.setenv("RELM_API_KEY", key)
+    cfg = BackendConfig(kind=BackendKind.HTTP, endpoint="http://example.invalid/v1")
+    with pytest.raises(AuthFailure) as err:
+        make_backend(cfg)
+    assert "RELM_API_KEY" in str(err.value)
+    assert key not in str(err.value)
+
+
 def test_http_custom_env_var_name(monkeypatch):
     monkeypatch.delenv("OTHER_KEY", raising=False)
     cfg = BackendConfig(

@@ -40,7 +40,7 @@ from .encoder import Embedding, GnnWeights, embed_set
 from .loading import convert, convert_fields, decode_json, read_file, read_json, write_file
 from .molgraph import FeatureConfig, MolecularGraph, SmilesError, parse_smiles
 from .molgraph.canonical import canonical_key
-from .molecules import MoleculeTable, embed_sides
+from .molecules import EMBED_CHUNK, MoleculeTable, embed_parsed, embed_sides
 
 logger = logging.getLogger(__name__)
 
@@ -306,31 +306,61 @@ def build_index(
 
     Product sets with identical structural key multisets collapse into a
     single entry under the first contributing id.  Keys come from the
-    command's molecule table (a new one when none is given), and a set is
-    embedded from the same parse.
+    command's molecule table (a new one when none is given).  The sets go
+    through ``EMBED_CHUNK`` at a time: each distinct string of a chunk is
+    parsed once, keyed from that parse and, when its set makes a new entry,
+    embedded from it; then the chunk's graphs are dropped.
     """
     if not product_sets:
         raise EmptyCorpus("no product sets given")
     molecules = molecules or MoleculeTable()
-    by_key: dict[tuple[str, ...], CorpusEntry] = {}
+    firsts: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
+    blocks: list[np.ndarray] = []
     seen_ids: set[str] = set()
-    for set_id, smiles_list in product_sets:
-        if set_id in seen_ids:
-            raise DatasetError(f"duplicate product set id {set_id!r}")
-        seen_ids.add(set_id)
-        if not smiles_list:
-            raise DatasetError(f"product set {set_id!r} is empty")
+    pending = iter(product_sets)
+    while chunk := list(itertools.islice(pending, EMBED_CHUNK)):
+        graphs: dict[str, list[MolecularGraph]] = {}
+        new: list[tuple[str, tuple[str, ...]]] = []
+        for set_id, smiles_list in chunk:
+            if set_id in seen_ids:
+                raise DatasetError(f"duplicate product set id {set_id!r}")
+            seen_ids.add(set_id)
+            if not smiles_list:
+                raise DatasetError(f"product set {set_id!r} is empty")
+            try:
+                for smiles in smiles_list:
+                    if smiles not in graphs:
+                        graphs[smiles] = molecules.parse(smiles)
+                key = molecules.set_key(smiles_list)
+            except SmilesError as exc:
+                raise _unparseable(set_id, exc) from exc
+            if key not in firsts:
+                firsts[key] = (set_id, tuple(smiles_list))
+                new.append(firsts[key])
+        sides = [products for _, products in new]
         try:
-            key, values = molecules.key_and_embed(smiles_list, weights, feature_cfg)
-        except SmilesError as exc:
-            raise DatasetError(
-                f"product set {set_id!r} has unparseable SMILES: {exc}"
-            ) from exc
-        if key not in by_key:
-            by_key[key] = CorpusEntry(set_id, tuple(smiles_list), Embedding(values), key)
+            blocks.append(embed_parsed(sides, graphs.__getitem__, weights, feature_cfg))
+        except SmilesError:
+            # an element outside the feature vocabulary: name its first set
+            for set_id, products in new:
+                try:
+                    embed_parsed([products], graphs.__getitem__, weights, feature_cfg)
+                except SmilesError as exc:
+                    raise _unparseable(set_id, exc) from exc
+            raise
+    entries = zip(firsts.items(), np.concatenate(blocks))
     return ProductCorpus(
-        entries=tuple(by_key.values()), fingerprint=weights.fingerprint(), molecules=molecules
+        entries=tuple(
+            CorpusEntry(set_id, products, Embedding(row), key)
+            for (key, (set_id, products)), row in entries
+        ),
+        fingerprint=weights.fingerprint(),
+        molecules=molecules,
     )
+
+
+def _unparseable(set_id: str, exc: SmilesError) -> DatasetError:
+    return DatasetError(f"product set {set_id!r} has unparseable SMILES: {exc}")
 
 
 def corpus_from_records(
@@ -468,7 +498,9 @@ def save_index(corpus: ProductCorpus, path: str | Path) -> None:
             for e in corpus.entries
         ],
     }
-    write_file(path, json.dumps(payload, indent=2) + "\n", DatasetError)
+    # streamed: json.dumps would hold the whole text, the peak of build-index
+    text = itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
+    write_file(path, text, DatasetError)
 
 
 def load_index(path: str | Path, molecules: MoleculeTable | None = None) -> ProductCorpus:

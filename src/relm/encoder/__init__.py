@@ -7,6 +7,7 @@ from .model import (
     EncoderConfig,
     ShapeMismatch,
     embed_molecule,
+    embed_molecules,
     embed_set,
     node_states,
     tag_layer,
@@ -41,6 +42,7 @@ __all__ = [
     "TrainingResult",
     "contrastive_loss_and_grad",
     "embed_molecule",
+    "embed_molecules",
     "embed_set",
     "load_weights",
     "node_states",

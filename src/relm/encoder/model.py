@@ -6,15 +6,24 @@ are applied by repeated multiplication, never materialized.  Hidden
 layers use the configured activation; the final layer is always linear.
 A molecule embedding is the sum of its node rows, and a set of molecules
 embeds as the sum of the member embeddings.
+
+``embed_molecules`` runs one forward pass per atom count: the graphs with
+n atoms are featurized into stacked (B, n, f) and (B, n, n) arrays and
+pass through the layers together.  Nothing is padded, so ``np.matmul``
+runs, for each slice, the same product as for that molecule alone, and
+every row is bit-identical to the molecule's own forward pass.
+``embed_molecule`` and ``embed_set`` are calls of it; training keeps
+calling ``_forward`` on one molecule at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from ..molgraph import FeatureConfig, MolecularGraph, graph_features
+from ..molgraph import FeatureConfig, MolecularGraph, graph_features, stacked_features
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -88,12 +97,14 @@ def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
 def _layer_preactivation(
     x: np.ndarray, a: np.ndarray, layer_weights: list[np.ndarray]
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """(A^k x for each hop k, z = sum_k A^k x W_k); training keeps both."""
-    if x.ndim != 2 or a.shape != (x.shape[0], x.shape[0]):
+    """(A^k x for each hop k, z = sum_k A^k x W_k); training keeps both.
+
+    x is (n, f) with a (n, n), or a stack (B, n, f) with a (B, n, n)."""
+    if x.ndim not in (2, 3) or a.shape != x.shape[:-1] + x.shape[-2:-1]:
         raise ShapeMismatch(
             f"features {x.shape} and adjacency {a.shape} are inconsistent"
         )
-    in_dim = x.shape[1]
+    in_dim = x.shape[-1]
     out_dim = layer_weights[0].shape[1]
     for k, w in enumerate(layer_weights):
         if w.shape != (in_dim, out_dim):
@@ -133,23 +144,58 @@ def _forward(
     return h, caches
 
 
-def node_states(
-    graph: MolecularGraph, weights: "GnnWeights", feature_cfg: FeatureConfig
-) -> np.ndarray:
-    """Final-layer node matrix before pooling."""
+def _check_feature_dim(weights: "GnnWeights", feature_cfg: FeatureConfig) -> None:
     if feature_cfg.feature_dim != weights.config.feature_dim:
         raise ShapeMismatch(
             f"feature config produces {feature_cfg.feature_dim} dims, "
             f"weights expect {weights.config.feature_dim}"
         )
+
+
+def node_states(
+    graph: MolecularGraph, weights: "GnnWeights", feature_cfg: FeatureConfig
+) -> np.ndarray:
+    """Final-layer node matrix before pooling."""
+    _check_feature_dim(weights, feature_cfg)
     return _forward(*graph_features(graph, feature_cfg), weights)[0]
+
+
+def embed_molecules(
+    graphs: Sequence[MolecularGraph], weights: "GnnWeights", feature_cfg: FeatureConfig
+) -> np.ndarray:
+    """Sum-pooled embedding of each graph, one row per graph, in order.
+
+    Graphs with the same atom count share one stacked forward pass; each
+    row equals that graph's own pass bit for bit.
+    """
+    _check_feature_dim(weights, feature_cfg)
+    out = np.empty((len(graphs), weights.config.embed_dim), dtype=np.float64)
+    by_size: dict[int, list[int]] = {}
+    for i, graph in enumerate(graphs):
+        by_size.setdefault(graph.num_atoms, []).append(i)
+    for rows in by_size.values():
+        x, a = stacked_features([graphs[i] for i in rows], feature_cfg)
+        out[rows] = _forward(x, a, weights)[0].sum(axis=1)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("embedding contains non-finite entries")
+    return out
+
+
+def sum_left_to_right(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """rows[0] + rows[1] + ..., added in that order: the sum of a set."""
+    if not len(rows):
+        raise EmptySet("cannot embed an empty molecule set")
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
 
 
 def embed_molecule(
     graph: MolecularGraph, weights: "GnnWeights", feature_cfg: FeatureConfig
 ) -> Embedding:
     """Sum-pooled embedding of one molecule."""
-    return Embedding(node_states(graph, weights, feature_cfg).sum(axis=0))
+    return Embedding(embed_molecules([graph], weights, feature_cfg)[0])
 
 
 def embed_set(
@@ -158,7 +204,4 @@ def embed_set(
     """Embedding of a molecule set: left-to-right sum of member embeddings."""
     if not graphs:
         raise EmptySet("cannot embed an empty molecule set")
-    total = embed_molecule(graphs[0], weights, feature_cfg).values.copy()
-    for graph in graphs[1:]:
-        total += embed_molecule(graph, weights, feature_cfg).values
-    return Embedding(total)
+    return Embedding(sum_left_to_right(embed_molecules(graphs, weights, feature_cfg)))

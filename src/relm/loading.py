@@ -36,9 +36,11 @@ def read_file(path: str | Path, error: type[Exception]) -> str:
             raise error(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def write_file(path: str | Path, text: str, error: type[Exception]) -> None:
-    """Write UTF-8 text to a file atomically: a temporary file beside it,
-    synced to disk, then ``os.replace``, so a reader never sees half a file.
+def write_file(path: str | Path, text: str | Iterable[str], error: type[Exception]) -> None:
+    """Write UTF-8 text, given whole or as an iterable of chunks, to a file
+    atomically: a temporary file beside it, synced to disk, then
+    ``os.replace``, so a reader never sees half a file.  Chunks are written
+    as they come, so the whole text need never be held at once.
 
     The rename replaces the path itself: a symlink there becomes a regular
     file with default permissions."""
@@ -47,7 +49,7 @@ def write_file(path: str | Path, text: str, error: type[Exception]) -> None:
     with _os_errors("write", path, error):
         try:
             with open(temp, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+                handle.writelines((text,) if isinstance(text, str) else text)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(temp, path)

@@ -1,7 +1,7 @@
 """Molecular graphs: SMILES reading and writing, structural keys, features."""
 
 from .canonical import REFINEMENT_ROUNDS, canonical_key
-from .features import FeatureConfig, graph_features
+from .features import FeatureConfig, graph_features, stacked_features
 from .parser import parse_smiles
 from .types import (
     AROMATIC_ELEMENTS,
@@ -46,4 +46,5 @@ __all__ = [
     "graph_features",
     "parse_smiles",
     "serialize",
+    "stacked_features",
 ]

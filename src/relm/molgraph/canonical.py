@@ -12,6 +12,7 @@ pair: no number of rounds tells them apart, and they get the same key.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 from .types import MolecularGraph
@@ -23,29 +24,30 @@ def _digest(text: str) -> str:
     return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
+@functools.lru_cache(maxsize=1024)
+def _atom_label(element: str, formal_charge: int, explicit_h: int, aromatic: bool) -> str:
+    return _digest(f"{element}|{formal_charge}|{explicit_h}|{int(aromatic)}")
+
+
 def canonical_key(graph: MolecularGraph) -> str:
     """Hex key identifying ``graph`` up to atom reordering."""
     labels = [
-        _digest(
-            f"{atom.element}|{atom.formal_charge}|{atom.explicit_h}"
-            f"|{int(atom.aromatic)}"
-        )
+        _atom_label(atom.element, atom.formal_charge, atom.explicit_h, atom.aromatic)
         for atom in graph.atoms
     ]
+    # each neighbour's "{bond order}:" prefix, made once for all rounds
+    # (``_value_`` is ``value`` without the descriptor call)
     neighborhoods = [
-        [(order.value, other) for other, order in graph.neighbors(i)]
-        for i in range(graph.num_atoms)
+        [(f"{order._value_}:", other) for other, order in row] for row in graph.adjacency
     ]
     for _ in range(REFINEMENT_ROUNDS):
         labels = [
             _digest(
                 labels[i]
                 + "|"
-                + ";".join(
-                    sorted(f"{order}:{labels[j]}" for order, j in neighborhoods[i])
-                )
+                + ";".join(sorted([prefix + labels[j] for prefix, j in neighborhood]))
             )
-            for i in range(graph.num_atoms)
+            for i, neighborhood in enumerate(neighborhoods)
         ]
     summary = "|".join(sorted(labels))
     return _digest(f"{graph.num_atoms}|{graph.num_bonds}|{summary}")

@@ -46,8 +46,11 @@ _STEREO_BOND_CHARS = ("/", "\\")
 
 _AROMATIC_LOWER = tuple(e.lower() for e in AROMATIC_ELEMENTS)
 
-_TWO_LETTER_ORGANIC = ("Cl", "Br")
-_ONE_LETTER_ORGANIC = tuple(e for e in ORGANIC_SUBSET if len(e) == 1)
+# One shared atom per bare symbol: atoms are frozen and compare by value.
+_BARE_ATOMS = {e: Atom(element=e) for e in ORGANIC_SUBSET} | {
+    e.lower(): Atom(element=e, aromatic=True) for e in AROMATIC_ELEMENTS
+}
+_TWO_LETTER_ORGANIC = frozenset(e for e in ORGANIC_SUBSET if len(e) == 2)
 
 
 class _Fragment:
@@ -57,7 +60,7 @@ class _Fragment:
         self.start = start
         self.atoms: list[Atom] = []
         self.bonds: list[Bond] = []
-        self.bond_pairs: set[frozenset[int]] = set()
+        self.bond_pairs: set[tuple[int, int]] = set()
         self.prev: int | None = None
         # open branches: (saved prev index, offset of the '(')
         self.branch_stack: list[tuple[int, int]] = []
@@ -151,7 +154,7 @@ class _Fragment:
         return BondOrder.SINGLE
 
     def _add_bond(self, a: int, b: int, order: BondOrder, offset: int) -> None:
-        pair = frozenset((a, b))
+        pair = (a, b) if a < b else (b, a)
         if pair in self.bond_pairs:
             raise SmilesSyntaxError(
                 f"duplicate bond between atoms {a} and {b}", offset
@@ -170,7 +173,11 @@ def parse_smiles(smiles: str) -> list[MolecularGraph]:
     n = len(smiles)
     while i < n:
         ch = smiles[i]
-        if ch == ".":
+        if ch in _BARE_ATOMS:
+            width = 2 if smiles[i : i + 2] in _TWO_LETTER_ORGANIC else 1
+            frag.add_atom(_BARE_ATOMS[smiles[i : i + width]], i)
+            i += width
+        elif ch == ".":
             if frag.branch_stack:
                 raise SmilesSyntaxError("'.' inside a branch", i)
             graphs.append(frag.finish(smiles, i))
@@ -211,15 +218,6 @@ def parse_smiles(smiles: str) -> list[MolecularGraph]:
             frag.stereo_stripped = frag.stereo_stripped or stereo
             frag.add_atom(atom, i)
             i = i2
-        elif smiles[i : i + 2] in _TWO_LETTER_ORGANIC:
-            frag.add_atom(Atom(element=smiles[i : i + 2]), i)
-            i += 2
-        elif ch in _ONE_LETTER_ORGANIC:
-            frag.add_atom(Atom(element=ch), i)
-            i += 1
-        elif ch in _AROMATIC_LOWER:
-            frag.add_atom(Atom(element=ch.upper(), aromatic=True), i)
-            i += 1
         elif ch.isalpha():
             raise UnknownElement(f"unknown element starting at {ch!r}", i)
         else:

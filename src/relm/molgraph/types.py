@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from operator import itemgetter
 
 # Elements writable without brackets, in SMILES "organic subset" style.
 ORGANIC_SUBSET = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
@@ -120,7 +122,9 @@ class MolecularGraph:
     """A single connected molecule.
 
     ``stereo_stripped`` records that the source SMILES carried stereo
-    marks (/ \\ @) which this subset discards.
+    marks (/ \\ @) which this subset discards.  ``adjacency`` is built on
+    first use and kept, so ``neighbors`` and ``degree`` do not scan the
+    bonds on each call.
     """
 
     atoms: tuple[Atom, ...]
@@ -132,17 +136,15 @@ class MolecularGraph:
         if not self.atoms:
             raise EmptyInput("a molecular graph needs at least one atom")
         n = len(self.atoms)
-        seen: set[frozenset[int]] = set()
+        seen: set[tuple[int, int]] = set()
         for bond in self.bonds:
-            if not (0 <= bond.a < n and 0 <= bond.b < n):
-                raise SmilesSyntaxError(
-                    f"bond ({bond.a}, {bond.b}) references a missing atom"
-                )
-            if bond.pair in seen:
-                raise SmilesSyntaxError(
-                    f"duplicate bond between atoms {bond.a} and {bond.b}"
-                )
-            seen.add(bond.pair)
+            a, b = bond.a, bond.b
+            if not (0 <= a < n and 0 <= b < n):
+                raise SmilesSyntaxError(f"bond ({a}, {b}) references a missing atom")
+            pair = (a, b) if a < b else (b, a)
+            if pair in seen:
+                raise SmilesSyntaxError(f"duplicate bond between atoms {a} and {b}")
+            seen.add(pair)
 
     @property
     def num_atoms(self) -> int:
@@ -152,16 +154,20 @@ class MolecularGraph:
     def num_bonds(self) -> int:
         return len(self.bonds)
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, BondOrder], ...], ...]:
+        """Each atom's (neighbor index, bond order) pairs, ascending by index."""
+        rows: list[list[tuple[int, BondOrder]]] = [[] for _ in self.atoms]
+        for bond in self.bonds:
+            rows[bond.a].append((bond.b, bond.order))
+            rows[bond.b].append((bond.a, bond.order))
+        for row in rows:
+            row.sort(key=itemgetter(0))
+        return tuple(map(tuple, rows))
+
     def neighbors(self, idx: int) -> list[tuple[int, BondOrder]]:
         """Neighbor indices of ``idx`` with bond orders, ascending by index."""
-        out = []
-        for bond in self.bonds:
-            if bond.a == idx:
-                out.append((bond.b, bond.order))
-            elif bond.b == idx:
-                out.append((bond.a, bond.order))
-        out.sort(key=lambda pair: pair[0])
-        return out
+        return list(self.adjacency[idx])
 
     def degree(self, idx: int) -> int:
-        return sum(1 for bond in self.bonds if idx in (bond.a, bond.b))
+        return len(self.adjacency[idx])

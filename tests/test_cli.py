@@ -950,9 +950,9 @@ def count_calls(monkeypatch, original):
 def test_training_set_is_embedded_at_most_once(
     workspace, tmp_path, monkeypatch, command, embeds
 ):
-    # the command's molecule table embeds each fragment of each distinct
-    # reactant string once, however many K or strategies read the rows;
-    # the index brings its own embeddings and the query goes through embed_set
+    # the command embeds each fragment of each distinct reactant string
+    # once, however many K or strategies read the rows; the index brings its
+    # own embeddings and the query goes through embed_set
     ws, _, train = workspace
     save_dataset(train[:1], tmp_path / "one.jsonl")
     outputs = ["--out", str(tmp_path / "rows.csv")] if command[0] == "compare-strategies" else [
@@ -961,18 +961,18 @@ def test_training_set_is_embedded_at_most_once(
     distinct = {smiles for record in train for smiles in record.reactants}
     fragments = sum(len(parse_smiles(smiles)) for smiles in distinct)
     assert fragments < sum(len(record.reactant_graphs()) for record in train)  # some repeat
-    calls = []
-    original = relm.molecules.embed_molecule
+    embedded = []
+    original = relm.molecules.embed_molecules
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(graphs, *args, **kwargs):
+        embedded.extend(graphs)
+        return original(graphs, *args, **kwargs)
 
-    monkeypatch.setattr(relm.molecules, "embed_molecule", counted)
+    monkeypatch.setattr(relm.molecules, "embed_molecules", counted)
     code = main([*command, *outputs, "--config", str(ws / "config.json"),
                  "--eval-dataset", str(tmp_path / "one.jsonl")])
     assert code == 0
-    assert len(calls) == (fragments if embeds else 0)
+    assert len(embedded) == (fragments if embeds else 0)
 
 
 def _parse_and_key_calls(monkeypatch):

@@ -49,11 +49,12 @@ from .encoder import (
 )
 from .loading import convert, make_dir, read_json, text_builder, write_file
 from .evaluation import (
+    EvalReport,
     MissingGroundTruth,
     ReportError,
+    StrategyRow,
     build_report,
     check_ground_truth,
-    compare_strategies,
     hit_at_k,
     write_outcomes_csv,
     write_report_json,
@@ -104,17 +105,10 @@ class RunConfig:
 
     def prompt_config(self) -> PromptConfig:
         """The prompt settings, with the shuffle seed drawn from the run's seed."""
-        prompt = self.prompt
-        if prompt.strategy.shows_confidence and (
-            prompt.n < 2 or prompt.css.num_perturbed > prompt.n
-        ):
-            raise ConfigError(
-                f"{prompt.strategy.label} needs n >= 2 and css num_perturbed <= n"
-            )
         shuffle_seed = (
             derive_seed(self.seed, "shuffle") if self.shuffle_candidates else None
         )
-        return replace(prompt, shuffle_candidates_seed=shuffle_seed)
+        return replace(self.prompt, shuffle_candidates_seed=shuffle_seed)
 
 
 # seeds derived per run or per query, never read from the file
@@ -229,18 +223,18 @@ class _Inputs:
         templates = TemplateSet.load(cfg.templates) if cfg.templates else None
         return cls(weights, corpus, train, records, iupac_table, templates, molecules)
 
-    def pipelines(self, cfg: RunConfig, ks: Sequence[int]) -> Iterator[Pipeline]:
-        """One pipeline per K, all on one retrieval state."""
+    def pipelines(self, cfg: RunConfig, prompts: Sequence[PromptConfig]) -> Iterator[Pipeline]:
+        """One pipeline per prompt config, all on one retrieval state."""
         state = RetrievalState(
             self.corpus, self.train, self.weights, FeatureConfig(), self.molecules
         )
-        for k in ks:
+        for prompt in prompts:
             yield Pipeline(
                 self.corpus,
                 self.train,
                 self.weights,
                 state.feature_cfg,
-                replace(cfg.prompt_config(), k=k),
+                prompt,
                 cfg.backend,
                 iupac_table=self.iupac_table,
                 templates=self.templates,
@@ -248,15 +242,42 @@ class _Inputs:
                 state=state,
             )
 
+    def reports(self, cfg: RunConfig, prompts: Sequence[PromptConfig]) -> Iterator[EvalReport]:
+        """Run and score the evaluation set once per prompt config.
 
-def _check_example_count(
+        The ground truth and every config are checked on the call, before
+        any query runs; each report is made as the iterator reaches it.
+        """
+        check_ground_truth(self.records, self.corpus)
+        for prompt in prompts:
+            _check_examples(prompt, self.train, self.records)
+
+        def run() -> Iterator[EvalReport]:
+            for prompt, pipeline in zip(prompts, self.pipelines(cfg, prompts)):
+                results = run_dataset(pipeline, self.records, cfg.max_concurrency)
+                config = {"strategy": prompt.strategy.label, "k": prompt.k, "n": prompt.n,
+                          "seed": cfg.seed, "backend": cfg.backend.kind.value}
+                yield build_report(results, self.records, self.corpus, self.weights,
+                                   pipeline.feature_cfg, prompt.k, config=config)
+
+        return run()
+
+
+def _check_examples(
     prompt: PromptConfig, train: Sequence[ReactionRecord], queries: Sequence[ReactionRecord]
 ) -> None:
-    """Fail before any query when CSS cannot show and perturb enough examples."""
+    """Fail before any query when CSS cannot show and perturb enough examples:
+    the config's n is too small, or the training set is."""
+    if not prompt.strategy.shows_confidence:
+        return
+    if prompt.n < 2 or prompt.css.num_perturbed > prompt.n:
+        raise ConfigError(
+            f"{prompt.strategy.label} needs n >= 2 and css num_perturbed <= n"
+        )
     train_ids = {r.id for r in train}
     usable = len(train) - any(q.id in train_ids for q in queries)  # a query is never its own example
     needed = max(2, prompt.css.num_perturbed)
-    if prompt.strategy.shows_confidence and min(prompt.n, usable) < needed:
+    if min(prompt.n, usable) < needed:
         raise DatasetError(
             f"{prompt.strategy.label} needs {needed} in-context examples per query, but "
             f"n={prompt.n} and the training set has {usable} usable example record(s)"
@@ -286,8 +307,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, _overrides(args))
     record = load_record(args.reaction)  # before the pipeline embeds the training set
     inputs = _Inputs.load(cfg)
-    _check_example_count(cfg.prompt_config(), inputs.train, [record])
-    (pipeline,) = inputs.pipelines(cfg, [cfg.prompt.k])
+    prompt_cfg = cfg.prompt_config()
+    _check_examples(prompt_cfg, inputs.train, [record])
+    (pipeline,) = inputs.pipelines(cfg, [prompt_cfg])
     if args.dry_run:
         prompt = pipeline.render_prompt(record)
         print(prompt.text)
@@ -336,33 +358,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # --k may be a sweep spec like "2..7"; it never overrides config k
     cfg = load_run_config(args.config, {**_overrides(args), "k": None})
     inputs = _Inputs.load(cfg, args.eval_dataset)
-
-    # a bad evaluation set fails before any query runs
-    check_ground_truth(inputs.records, inputs.corpus)
-    _check_example_count(cfg.prompt_config(), inputs.train, inputs.records)
     try:
         ks = _parse_k_spec(args.k) if args.k else [cfg.prompt.k]
     except ValueError as exc:
         raise ConfigError(f"bad --k value: {exc}")
+    base = cfg.prompt_config()
+    reports = inputs.reports(cfg, [replace(base, k=k) for k in ks])
     out_dir = Path(args.out_dir)
     make_dir(out_dir, ConfigError)
-    for k, pipeline in zip(ks, inputs.pipelines(cfg, ks)):
-        results = run_dataset(pipeline, inputs.records, cfg.max_concurrency)
-        report = build_report(
-            results,
-            inputs.records,
-            inputs.corpus,
-            inputs.weights,
-            pipeline.feature_cfg,
-            k,
-            config={
-                "strategy": cfg.prompt.strategy.label,
-                "k": k,
-                "n": cfg.prompt.n,
-                "seed": cfg.seed,
-                "backend": cfg.backend.kind.value,
-            },
-        )
+    for k, report in zip(ks, reports):
         write_report_json(report, out_dir / f"report_k{k}.json")
         write_outcomes_csv(report.outcomes, out_dir / f"samples_k{k}.csv")
         print(
@@ -384,24 +388,12 @@ def cmd_compare_strategies(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --strategies value: {exc}")
     if not strategies:
         raise ConfigError("no strategies given")
-    prompt = cfg.prompt_config()
-    for strategy in strategies:
-        _check_example_count(replace(prompt, strategy=strategy), inputs.train, inputs.records)
-    rows = compare_strategies(
-        inputs.records,
-        inputs.train,
-        inputs.corpus,
-        inputs.weights,
-        FeatureConfig(),
-        prompt,
-        cfg.backend,
-        strategies,
-        seed=cfg.seed,
-        max_concurrency=cfg.max_concurrency,
-        iupac_table=inputs.iupac_table,
-        templates=inputs.templates,
-        molecules=inputs.molecules,
-    )
+    base = cfg.prompt_config()
+    prompts = [replace(base, strategy=strategy) for strategy in strategies]
+    rows = [
+        StrategyRow.from_report(prompt.strategy.label, report)
+        for prompt, report in zip(prompts, inputs.reports(cfg, prompts))
+    ]
     write_strategy_csv(rows, args.out)
     for row in rows:
         print(

@@ -23,7 +23,6 @@ from .corpus import ProductCorpus, ReactionRecord, RetrievalState, top_k_candida
 from .encoder import GnnWeights
 from .lmclient import BackendConfig, Pipeline, PredictionResult, mes_vote, run_dataset
 from .loading import write_file
-from .molecules import MoleculeTable
 from .molgraph import FeatureConfig
 from .prompt import PromptConfig, Strategy, TemplateSet
 
@@ -397,6 +396,14 @@ class StrategyRow:
     mean_tokens: float
     mean_time_s: float
 
+    @classmethod
+    def from_report(cls, strategy: str, report: EvalReport) -> StrategyRow:
+        """The row of a strategy's report: its accuracy, mean tokens and
+        mean latency in seconds."""
+        return cls(
+            strategy, report.accuracy, report.mean_tokens, report.mean_latency_ms / 1000.0
+        )
+
 
 def compare_strategies(
     records: Sequence[ReactionRecord],
@@ -411,20 +418,21 @@ def compare_strategies(
     max_concurrency: int = 4,
     iupac_table: dict[str, str] | None = None,
     templates: TemplateSet | None = None,
-    molecules: MoleculeTable | None = None,
 ) -> list[StrategyRow]:
     """One row per strategy over identical samples, seeds and corpus.
 
-    Each row gets a fresh pipeline (and thus fresh mock state), rendering
-    with the given IUPAC table and templates, so rows cannot contaminate
-    each other; MES rows report the full multi-run token total per sample.
-    The rows share one retrieval state, so the training set is embedded at
-    most once, and its products are keyed in the command's molecule table
-    when one is given.
+    Each row is read off the strategy's ``build_report``, so it equals
+    what ``evaluate`` reports for that strategy; the ground truth is
+    checked before any query runs.  Each row gets a fresh pipeline (and
+    thus fresh mock state), rendering with the given IUPAC table and
+    templates, so rows cannot contaminate each other; MES rows report the
+    full multi-run token total per sample.  The rows share one retrieval
+    state, so the training set is embedded at most once.
     """
     if not records:
         raise ValueError("strategy comparison needs at least one record")
-    state = RetrievalState(corpus, train, weights, feature_cfg, molecules)
+    check_ground_truth(records, corpus)
+    state = RetrievalState(corpus, train, weights, feature_cfg)
     rows = []
     for strategy in strategies:
         cfg = replace(prompt_cfg, strategy=strategy)
@@ -433,18 +441,8 @@ def compare_strategies(
             iupac_table=iupac_table, templates=templates, seed=seed, state=state,
         )
         results = run_dataset(pipeline, records, max_concurrency=max_concurrency)
-        outcomes = [
-            outcome_from_prediction(res, rec.product_key())
-            for res, rec in zip(results, records)
-        ]
-        rows.append(
-            StrategyRow(
-                strategy=strategy.label,
-                accuracy=accuracy(outcomes),
-                mean_tokens=statistics.fmean(o.token_estimate for o in outcomes),
-                mean_time_s=statistics.fmean(o.latency_ms for o in outcomes) / 1000.0,
-            )
-        )
+        report = build_report(results, records, corpus, weights, feature_cfg, prompt_cfg.k)
+        rows.append(StrategyRow.from_report(strategy.label, report))
     return rows
 
 

@@ -11,14 +11,22 @@ pinned here too.
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+import relm.cli
 import relm.encoder.training
-from relm.corpus import build_context, corpus_from_records
-from relm.encoder import EncoderConfig, TrainingHyper, random_init, train_contrastive
+from relm.corpus import build_context, corpus_from_records, save_dataset, save_index
+from relm.encoder import (
+    EncoderConfig,
+    TrainingHyper,
+    random_init,
+    save_weights,
+    train_contrastive,
+)
 from relm.molgraph import FeatureConfig
 from relm.synthetic import synthetic_reactions
 
@@ -74,6 +82,36 @@ def test_every_expected_span_is_traced(tracer):
 )
 def test_names_the_benchmark_patches_or_imports_exist(module_name, attr):
     assert callable(_resolve(module_name, attr))
+
+
+def test_evaluate_calls_the_patched_run_dataset_once_per_k(tmp_path, monkeypatch, capsys):
+    # run.py's Measure marks the end of evaluate's set-up by swapping this
+    # module attribute, so evaluate must look it up there for every K
+    real = relm.cli.run_dataset
+    calls = []
+
+    def counting(pipeline, records, max_concurrency):
+        calls.append(pipeline.prompt_cfg.k)
+        return real(pipeline, records, max_concurrency)
+
+    monkeypatch.setattr(relm.cli, "run_dataset", counting)
+    feature_cfg = FeatureConfig()
+    weights = random_init(EncoderConfig(feature_dim=feature_cfg.feature_dim, embed_dim=4), seed=1)
+    train = synthetic_reactions(8, seed=5)
+    save_weights(weights, tmp_path / "weights.json")
+    save_dataset(train, tmp_path / "train.jsonl")
+    save_index(corpus_from_records(train, weights, feature_cfg), tmp_path / "index.json")
+    config = {
+        "weights": str(tmp_path / "weights.json"),
+        "dataset": str(tmp_path / "train.jsonl"),
+        "index": str(tmp_path / "index.json"),
+        "strategy": "plain",
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code = relm.cli.main(["evaluate", "--config", str(tmp_path / "config.json"),
+                          "--k", "2..3", "--out-dir", str(tmp_path / "reports")])
+    assert code == 0, capsys.readouterr().err
+    assert calls == [2, 3]
 
 
 def test_training_calls_the_patched_loss_once_per_epoch(monkeypatch):

@@ -562,12 +562,20 @@ def test_train_toy_on_one_reaction_exits_2(workspace, tmp_path, capsys):
     assert "at least two reactions" in capsys.readouterr().err
 
 
-def test_evaluate_missing_truth_fails_before_backend(workspace, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["evaluate", "--out-dir", "reports"],
+        ["compare-strategies", "--strategies", "plain,zero_shot", "--out", "rows.csv"],
+    ],
+    ids=["evaluate", "compare_strategies"],
+)
+def test_missing_truth_fails_before_backend(workspace, tmp_path, monkeypatch, capsys, command):
     ws, base, _ = workspace
     alien = {
         "id": "alien",
         "reactants": ["CCO"],
-        "products": ["[Au+]"],  # not in the index
+        "products": ["CCCCCCCCCCCCCCCCCCCCO"],  # parses, but is not in the index
     }
     eval_path = tmp_path / "eval.jsonl"
     eval_path.write_text(json.dumps(alien) + "\n")
@@ -578,21 +586,37 @@ def test_evaluate_missing_truth_fails_before_backend(workspace, tmp_path, capsys
         base,
         backend={"kind": "mock", "mock_script": str(script)},
     )
-    code = main(
-        [
-            "evaluate",
-            "--config",
-            cfg_path,
-            "--eval-dataset",
-            str(eval_path),
-            "--out-dir",
-            str(tmp_path / "reports"),
-        ]
-    )
+    monkeypatch.chdir(tmp_path)
+    code = main([*command, "--config", cfg_path, "--eval-dataset", str(eval_path)])
     err = capsys.readouterr().err
-    # a backend error would exit 1; truth validation must win
+    # the script matches no prompt, so a backend call would exit 1; truth
+    # validation must win, and nothing may be written
     assert code == 2
     assert "alien" in err
+    assert not (tmp_path / "reports").exists() and not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "strategies,code",
+    [("plain", 0), ("plain,css", 2)],
+)
+def test_compare_strategies_checks_the_compared_strategies(
+    workspace, tmp_path, capsys, strategies, code
+):
+    # n=1 is too few for css, which the config names but only the last
+    # case compares; plain and zero-shot show no confidence examples
+    ws, base, _ = workspace
+    cfg_path = write_config(tmp_path / "cfg.json", base, strategy="css", n=1)
+    out = tmp_path / "rows.csv"
+    assert main(
+        ["compare-strategies", "--config", cfg_path, "--strategies", strategies,
+         "--out", str(out)]
+    ) == code
+    if code:
+        assert "css needs n >= 2 and css num_perturbed <= n" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert len(out.read_text().splitlines()) == 1 + len(strategies.split(","))
 
 
 @pytest.mark.parametrize(
@@ -776,7 +800,9 @@ def test_compare_strategies_uses_config_templates_and_iupac(
          "--out", str(out)]
     ) == 0
     row = out.read_text().splitlines()[1].split(",")
+    assert float(row[1]) == report["accuracy"]
     assert float(row[2]) == report["mean_tokens"]
+    assert float(row[3]) == report["mean_latency_ms"] / 1000
 
 
 def test_train_toy_zero_epochs(workspace, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Metrics, vote aggregation, correlation reports and serialization."""
 
 import csv
+import dataclasses
 import random
 import statistics
 
@@ -442,6 +443,21 @@ def test_compare_strategies_mes_degeneracy(setup):
     assert mes.strategy == "mes:plain:10"
     assert mes.accuracy == plain.accuracy
     assert mes.mean_tokens == 10 * plain.mean_tokens
+
+
+def test_compare_strategies_checks_truth_before_any_query(setup):
+    weights, train, corpus = setup
+    alien = dataclasses.replace(train[0], id="alien", products=("CCCCCCCCCCCCCCCCCCCCO",))
+    backend = BackendConfig(  # a backend call would fail: the rule matches no prompt
+        kind=BackendKind.MOCK, mock_script=(MockRule(match="zz-never", response="A"),)
+    )
+    prompt_cfg = PromptConfig(strategy=Strategy(StrategyKind.PLAIN), k=4, n=3)
+    with pytest.raises(MissingGroundTruth) as info:
+        compare_strategies(
+            [alien, *train[:2]], train, corpus, weights, FEATURE_CFG, prompt_cfg, backend,
+            [Strategy(StrategyKind.PLAIN)],
+        )
+    assert info.value.ids == ("alien",)
 
 
 def test_compare_strategies_rejects_empty(setup):

@@ -97,7 +97,7 @@ class RunConfig:
     shuffle_candidates: bool = False
     backend: BackendConfig = BackendConfig(kind=BackendKind.ORACLE)
     seed: int = 0
-    max_concurrency: int = 4
+    max_concurrency: int = 1
 
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:

@@ -415,7 +415,7 @@ def compare_strategies(
     backend_cfg: BackendConfig,
     strategies: Sequence[Strategy],
     seed: int = 0,
-    max_concurrency: int = 4,
+    max_concurrency: int = 1,
     iupac_table: dict[str, str] | None = None,
     templates: TemplateSet | None = None,
 ) -> list[StrategyRow]:

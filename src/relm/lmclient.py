@@ -734,7 +734,7 @@ class Pipeline:
 def run_dataset(
     pipeline: Pipeline,
     records: Sequence[ReactionRecord],
-    max_concurrency: int = 4,
+    max_concurrency: int = 1,
 ) -> list[PredictionResult]:
     """Predict every record; results in input order."""
     if max_concurrency < 1:

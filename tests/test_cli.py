@@ -1,6 +1,7 @@
 """Command-line interface: round trips, exit codes, file formats."""
 
 import dataclasses
+import inspect
 import json
 import shutil
 import sys
@@ -11,6 +12,8 @@ import pytest
 import relm.cli
 import relm.encoder
 import relm.encoder.training
+import relm.evaluation
+import relm.lmclient
 import relm.molecules
 import relm.molgraph.canonical
 import relm.molgraph.parser
@@ -743,6 +746,34 @@ def test_evaluate_output_is_byte_deterministic(workspace, tmp_path):
     a, b = dirs
     assert (a / "samples_k4.csv").read_bytes() == (b / "samples_k4.csv").read_bytes()
     assert (a / "report_k4.json").read_bytes() == (b / "report_k4.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["evaluate", "--k", "2..3", "--out-dir", "reports"],
+        ["compare-strategies", "--strategies", "plain,css", "--out", "rows.csv"],
+    ],
+)
+def test_queries_run_serially_by_default(workspace, tmp_path, monkeypatch, command):
+    # threads only help the HTTP backend, so a config without
+    # max_concurrency runs one query at a time
+    ws, base, _ = workspace
+    assert "max_concurrency" not in base
+    real = relm.cli.run_dataset
+    calls = []
+
+    def counting(pipeline, records, max_concurrency):
+        calls.append(max_concurrency)
+        return real(pipeline, records, max_concurrency)
+
+    monkeypatch.setattr(relm.cli, "run_dataset", counting)
+    name, *flags = command
+    flags[-1] = str(tmp_path / flags[-1])
+    assert main([name, "--config", str(ws / "config.json"), *flags]) == 0
+    assert calls == [1, 1]
+    for function in (relm.lmclient.run_dataset, relm.evaluation.compare_strategies):
+        assert inspect.signature(function).parameters["max_concurrency"].default == 1
 
 
 def test_compare_strategies_cli(workspace, tmp_path, capsys):

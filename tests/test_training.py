@@ -1,10 +1,14 @@
 """Contrastive loss, analytic gradients and the training loop."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from relm.encoder import (
     EncoderConfig,
+    GnnWeights,
     NonFiniteLoss,
     ShapeMismatch,
     TrainingHyper,
@@ -13,6 +17,7 @@ from relm.encoder import (
     random_init,
     train_contrastive,
 )
+from relm.encoder import training
 from relm.encoder.model import _forward
 from relm.encoder.training import _backward_molecule
 from relm.molgraph import FeatureConfig, graph_features, parse_smiles
@@ -45,6 +50,25 @@ def reference_loss(pairs, weights, feature_cfg, margin):
                 other = float(np.linalg.norm(h_r[i] - h_p[j]))
                 total += max(0.0, own - other + margin)
     return total / (n * (n - 1))
+
+
+def overflowing_row(pairs, weights, feature_cfg, row):
+    """A copy of ``weights`` whose last layer is scaled by a power of two,
+    so that the embeddings scale exactly and only ``row``'s squared pair
+    distances overflow; every other row stays below half the float64 max."""
+
+    def embed(side):
+        return embed_set([g for s in side for g in parse_smiles(s)], weights, feature_cfg).values
+
+    h_r = np.array([embed(reactants) for reactants, _ in pairs])
+    h_p = np.array([embed(products) for _, products in pairs])
+    worst = ((h_r[:, None, :] - h_p[None, :, :]) ** 2).sum(axis=2).max(axis=1)
+    big = np.finfo(np.float64).max
+    k = math.ceil(math.log(big / worst[row], 4) + 0.5)  # 4**k * worst[row] >= 2 * big
+    assert math.log(big / np.delete(worst, row).max(), 4) - k >= 0.5
+    layers = [list(hops) for hops in weights.layers]
+    layers[-1] = [w * 2.0**k for w in layers[-1]]
+    return GnnWeights(config=weights.config, layers=layers)
 
 
 def loop_loss_and_grad(pairs, weights, feature_cfg, margin):
@@ -172,6 +196,88 @@ def test_loss_and_gradients_are_bit_identical_to_the_loop_formula(margin):
     for hops, want_hops in zip(grads, want_grads, strict=True):
         for g, want in zip(hops, want_hops, strict=True):
             assert np.array_equal(g, want)
+
+
+def blocked_pairs():
+    """40 reactions; with 7 rows per block the last block (35-39) is ragged
+    and holds a duplicated reaction, so distance is zero off the diagonal."""
+    return reaction_pairs(36, seed=3) + [
+        (["CCO.O"], ["CC=O", "O"]),
+        (["CC"], ["CC"]),
+        (["c1ccccc1", "Br"], ["Brc1ccccc1"]),
+        (["CC"], ["CC"]),
+    ]
+
+
+@pytest.mark.parametrize("margin, embed_dim", [(0.0, 6), (1.0, 6), (1.0, 16)])
+def test_row_blocks_are_bit_identical_to_the_loop_formula(monkeypatch, margin, embed_dim):
+    pairs = blocked_pairs()
+    monkeypatch.setattr(training, "PAIR_BLOCK", 7 * len(pairs) * embed_dim)
+    cfg = EncoderConfig(feature_dim=FEATURE_CFG.feature_dim, embed_dim=embed_dim)
+    weights = random_init(cfg, seed=5)
+    loss, grads = contrastive_loss_and_grad(pairs, weights, FEATURE_CFG, margin)
+    want_loss, want_grads = loop_loss_and_grad(pairs, weights, FEATURE_CFG, margin)
+    assert np.array_equal(np.float64(loss), np.float64(want_loss))
+    assert any(np.any(g) for hops in grads for g in hops)
+    for hops, want_hops in zip(grads, want_grads, strict=True):
+        for g, want in zip(hops, want_hops, strict=True):
+            assert np.array_equal(g, want)
+
+
+def late_block_pairs():
+    """40 reactions whose row 36, in the last of 7-row blocks, has 50 copies
+    of its reactants and so the largest pair distances."""
+    pairs = reaction_pairs(40, seed=3)
+    pairs[36] = (list(pairs[36][0]) * 50, pairs[36][1])
+    return pairs
+
+
+def test_overflow_in_a_later_block_returns_nan_and_zero_gradients(monkeypatch):
+    pairs = late_block_pairs()
+    cfg = EncoderConfig(feature_dim=FEATURE_CFG.feature_dim, embed_dim=6)
+    monkeypatch.setattr(training, "PAIR_BLOCK", 7 * len(pairs) * cfg.embed_dim)
+    weights = overflowing_row(pairs, random_init(cfg, seed=5), FEATURE_CFG, 36)
+    loss, grads = contrastive_loss_and_grad(pairs, weights, FEATURE_CFG, 1.0)
+    assert math.isnan(loss)
+    for hops in grads:
+        for g in hops:
+            assert not np.any(g)
+
+
+def test_training_raises_when_a_later_block_overflows(monkeypatch):
+    # the third epoch's loss sees weights that overflow row 36 alone
+    pairs = late_block_pairs()
+    cfg = EncoderConfig(feature_dim=FEATURE_CFG.feature_dim, embed_dim=6)
+    finite = train_contrastive(pairs, cfg, FEATURE_CFG, TrainingHyper(epochs=2, seed=5))
+    monkeypatch.setattr(training, "PAIR_BLOCK", 7 * len(pairs) * cfg.embed_dim)
+    real = training.contrastive_loss_and_grad
+    calls = []
+
+    def overflow_third(pairs, weights, feature_cfg, margin, _batch=None):
+        calls.append(None)
+        if len(calls) == 3:
+            weights = overflowing_row(pairs, weights, feature_cfg, 36)
+        return real(pairs, weights, feature_cfg, margin, _batch=_batch)
+
+    monkeypatch.setattr(training, "contrastive_loss_and_grad", overflow_third)
+    with pytest.raises(NonFiniteLoss) as excinfo:
+        train_contrastive(pairs, cfg, FEATURE_CFG, TrainingHyper(epochs=5, seed=5))
+    assert excinfo.value.epoch == 2
+    assert excinfo.value.trace == finite.loss_trace
+
+
+def test_one_loss_call_holds_less_than_one_pair_tensor():
+    n, embed_dim = 400, 16
+    pairs = reaction_pairs(n, seed=7)
+    cfg = EncoderConfig(feature_dim=FEATURE_CFG.feature_dim, embed_dim=embed_dim)
+    weights = random_init(cfg, seed=0)
+    tracemalloc.start()
+    try:
+        contrastive_loss_and_grad(pairs, weights, FEATURE_CFG, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * embed_dim * 8  # one (n, n, embed_dim) float64 tensor
 
 
 def test_gradients_match_central_finite_differences():

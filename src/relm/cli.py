@@ -36,6 +36,7 @@ from .corpus import (
 )
 from .molecules import MoleculeTable
 from .encoder import (
+    EmbeddingOverflow,
     EncoderConfig,
     FormatError,
     GnnWeights,
@@ -540,6 +541,7 @@ _USER_ERRORS = (
     FormatError,
     ShapeError,
     ShapeMismatch,
+    EmbeddingOverflow,
     DimMismatch,
     TemplateError,
     SchemaConflict,

@@ -3,6 +3,7 @@
 from .model import (
     ACTIVATIONS,
     Embedding,
+    EmbeddingOverflow,
     EmptySet,
     EncoderConfig,
     ShapeMismatch,
@@ -31,6 +32,7 @@ from .weights import (
 __all__ = [
     "ACTIVATIONS",
     "Embedding",
+    "EmbeddingOverflow",
     "EmptySet",
     "EncoderConfig",
     "FormatError",

@@ -7,19 +7,17 @@ layers use the configured activation; the final layer is always linear.
 A molecule embedding is the sum of its node rows, and a set of molecules
 embeds as the sum of the member embeddings.
 
-``embed_molecules`` runs one forward pass per atom count: the graphs with
-n atoms are featurized into stacked (B, n, f) and (B, n, n) arrays and
-pass through the layers together.  Nothing is padded, so ``np.matmul``
-runs, for each slice, the same product as for that molecule alone, and
-every row is bit-identical to the molecule's own forward pass.
-``embed_molecule`` and ``embed_set`` are calls of it; training keeps
-calling ``_forward`` on one molecule at a time.
+``stacked_groups`` featurizes the graphs with n atoms into stacked
+(B, n, f) and (B, n, n) arrays; ``embed_molecules`` and training run one
+forward pass per group.  Nothing is padded, so ``np.matmul`` runs, for
+each slice, the same product as for that molecule alone, and every row is
+bit-identical to the molecule's own forward pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +32,10 @@ class ShapeMismatch(ValueError):
 
 class EmptySet(ValueError):
     """Raised when embedding an empty molecule set."""
+
+
+class EmbeddingOverflow(ValueError):
+    """Raised when the weights drive an embedding or its squared norm past float64."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ class EncoderConfig:
 
 @dataclass(eq=False)
 class Embedding:
-    """A finite 1-D float64 vector."""
+    """A 1-D float64 vector whose entries and squared norm are finite."""
 
     values: np.ndarray
 
@@ -78,8 +80,9 @@ class Embedding:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1:
             raise ShapeMismatch("an embedding must be a 1-D vector")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("embedding contains non-finite entries")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.values @ self.values):
+                raise EmbeddingOverflow("embedding has a non-finite entry or squared norm")
 
     @property
     def dim(self) -> int:
@@ -115,7 +118,7 @@ def _layer_preactivation(
     z = x @ layer_weights[0]
     for w in layer_weights[1:]:
         propagated.append(a @ propagated[-1])
-        z = z + propagated[-1] @ w
+        z += propagated[-1] @ w
     return propagated, z
 
 
@@ -160,6 +163,18 @@ def node_states(
     return _forward(*graph_features(graph, feature_cfg), weights)[0]
 
 
+def stacked_groups(
+    graphs: Sequence[MolecularGraph], feature_cfg: FeatureConfig
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(rows, x, a) per atom count, one group at a time: the ascending
+    positions of the graphs with that count and their ``stacked_features``."""
+    by_size: dict[int, list[int]] = {}
+    for i, graph in enumerate(graphs):
+        by_size.setdefault(graph.num_atoms, []).append(i)
+    for rows in by_size.values():
+        yield np.array(rows), *stacked_features([graphs[i] for i in rows], feature_cfg)
+
+
 def embed_molecules(
     graphs: Sequence[MolecularGraph], weights: "GnnWeights", feature_cfg: FeatureConfig
 ) -> np.ndarray:
@@ -170,14 +185,11 @@ def embed_molecules(
     """
     _check_feature_dim(weights, feature_cfg)
     out = np.empty((len(graphs), weights.config.embed_dim), dtype=np.float64)
-    by_size: dict[int, list[int]] = {}
-    for i, graph in enumerate(graphs):
-        by_size.setdefault(graph.num_atoms, []).append(i)
-    for rows in by_size.values():
-        x, a = stacked_features([graphs[i] for i in rows], feature_cfg)
-        out[rows] = _forward(x, a, weights)[0].sum(axis=1)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("embedding contains non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing weights: inf, nan
+        for rows, x, a in stacked_groups(graphs, feature_cfg):
+            out[rows] = _forward(x, a, weights)[0].sum(axis=1)
+        if not np.isfinite(np.vecdot(out, out)).all():
+            raise EmbeddingOverflow("the encoder weights overflow an embedding or its squared norm")
     return out
 
 
@@ -202,6 +214,4 @@ def embed_set(
     graphs: list[MolecularGraph], weights: "GnnWeights", feature_cfg: FeatureConfig
 ) -> Embedding:
     """Embedding of a molecule set: left-to-right sum of member embeddings."""
-    if not graphs:
-        raise EmptySet("cannot embed an empty molecule set")
     return Embedding(sum_left_to_right(embed_molecules(graphs, weights, feature_cfg)))

@@ -10,11 +10,13 @@ Gradients are computed analytically by backpropagation through the
 layer stack, the sum-pooling and the Euclidean distances; the
 finite-difference check in the test suite pins them down.  Optimization
 is plain full-batch gradient descent, which keeps runs bit-reproducible
-for a given seed.  The pair differences h_r[i] - h_p[j] are made one
-block of reactant rows at a time (``PAIR_BLOCK`` differences, 1 MiB),
-once for the distances and once for the gradient, so an epoch holds a
-few n x n float64 matrices plus one block: 8 MB per matrix at n = 1,000,
-but 3.2 GB at n = 20,000.
+for a given seed.  An epoch runs one stacked forward pass per atom count
+and holds every group's layer caches until the backward pass, which
+walks the layers over the same groups and drops each layer's caches once
+its gradients are taken.  The pair differences h_r[i] - h_p[j] are made
+one block of reactant rows at a time (``PAIR_BLOCK`` differences, 1 MiB),
+once for the distances and once for the gradient, next to a few n x n
+float64 matrices: 8 MB each at n = 1,000, but 3.2 GB at n = 20,000.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..molgraph import FeatureConfig, graph_features, parse_smiles
-from .model import EncoderConfig, ShapeMismatch, _forward
+from ..molgraph import FeatureConfig, parse_smiles
+from .model import EncoderConfig, _check_feature_dim, _forward, stacked_groups
 from .weights import GnnWeights, random_init
 
 # Pair differences (float64 elements) made at once: 1 MiB.
@@ -72,59 +74,64 @@ ReactionPair = tuple[Sequence[str], Sequence[str]]
 
 
 class _Batch:
-    """Parsed, featurized reactions ready for repeated passes.
-
-    ``owner[m]`` is the row molecule m pools into: ``i`` for reaction i's
-    reactants and ``n + i`` for its products.  Molecules keep the order
-    r0, p0, r1, p1, ..., which is the order the backward pass adds
-    weight gradients in.
+    """The ``stacked_groups`` of the molecules of all reactions, in the order
+    r0, p0, r1, p1, ...  ``owner[m]`` is the row molecule m pools into: ``i``
+    for reaction i's reactants and ``n + i`` for its products.
     """
 
     def __init__(self, pairs: Sequence[ReactionPair], feature_cfg: FeatureConfig):
         self.n = len(pairs)
         if self.n < 2:
             raise ValueError("contrastive training needs at least two reactions")
-        self.molecules: list[tuple[np.ndarray, np.ndarray]] = []
+        graphs = []
         owner: list[int] = []
         for i, (reactants, products) in enumerate(pairs):
             for row, smiles_list in ((i, reactants), (self.n + i, products)):
-                start = len(self.molecules)
-                for smiles in smiles_list:
-                    for graph in parse_smiles(smiles):
-                        self.molecules.append(graph_features(graph, feature_cfg))
-                if len(self.molecules) == start:
+                side = [graph for smiles in smiles_list for graph in parse_smiles(smiles)]
+                if not side:
                     raise ValueError("a reaction side is empty")
-                owner += [row] * (len(self.molecules) - start)
+                graphs += side
+                owner += [row] * len(side)
         self.owner = np.array(owner)
+        self.groups = list(stacked_groups(graphs, feature_cfg))
 
 
-def _backward_molecule(
-    pooled_grad: np.ndarray,
-    a: np.ndarray,
-    weights: GnnWeights,
-    caches: list[dict],
-    grads: list[list[np.ndarray]],
-) -> None:
-    """Accumulates weight gradients for one molecule."""
-    n_nodes = a.shape[0]
-    dh = np.tile(pooled_grad, (n_nodes, 1))
-    for layer in range(len(weights.layers) - 1, -1, -1):
-        cache = caches[layer]
-        if cache["activation"] == "relu":
-            dz = dh * (cache["z"] > 0.0)
-        else:
-            dz = dh
+def _backward(
+    batch: _Batch, weights: GnnWeights, caches: list[list[dict]], mol_grads: np.ndarray
+) -> list[list[np.ndarray]]:
+    """Weight gradients, a layer at a time over the groups, dropping each
+    layer's caches once it is done.  A gradient adds the terms P_m^T dz_m of
+    the molecules with a nonzero gradient in molecule order: ``PAIR_BLOCK``
+    elements of terms at a time, carried into the total by
+    ``np.add.accumulate``, which adds in order where ``sum`` adds a run of
+    1 x 1 terms pairwise."""
+    live = np.any(mol_grads, axis=1)
+    dh = [np.repeat(mol_grads[rows, None], x.shape[1], axis=1) for rows, x, _ in batch.groups]
+    grads = [[np.zeros_like(w) for w in hops] for hops in weights.layers]
+    for layer in reversed(range(len(grads))):
+        cached = [cache.pop() for cache in caches]
+        dz = [d * (c["z"] > 0.0) if c["activation"] == "relu" else d for d, c in zip(dh, cached)]
         hops = weights.layers[layer]
         for k, w in enumerate(hops):
-            grads[layer][k] += cache["propagated"][k].T @ dz
-        if layer > 0:
-            dh_prev = np.zeros_like(cache["propagated"][0])
-            for k, w in enumerate(hops):
-                term = dz @ w.T
-                for _ in range(k):
-                    term = a @ term  # adjacency is symmetric
-                dh_prev += term
-            dh = dh_prev
+            chunk = max(1, PAIR_BLOCK // w.size)
+            terms = np.empty((chunk, *w.shape))
+            for lo in range(0, len(live), chunk):
+                for (rows, _, _), c, d in zip(batch.groups, cached, dz):
+                    s, e = np.searchsorted(rows, (lo, lo + chunk))
+                    terms[rows[s:e] - lo] = c["propagated"][k][s:e].mT @ d[s:e]
+                mask = live[lo : lo + chunk]
+                summed = np.concatenate([grads[layer][k][None], terms[: len(mask)][mask]])
+                grads[layer][k] = np.add.accumulate(summed)[-1]
+        if layer:
+            dh = []
+            for (_, _, a), c, d in zip(batch.groups, cached, dz):
+                dh.append(np.zeros_like(c["propagated"][0]))
+                for k, w in enumerate(hops):
+                    term = d @ w.T
+                    for _ in range(k):
+                        term = a @ term  # adjacency is symmetric
+                    dh[-1] += term
+    return grads
 
 
 def contrastive_loss_and_grad(
@@ -135,19 +142,18 @@ def contrastive_loss_and_grad(
     _batch: _Batch | None = None,
 ) -> tuple[float, list[list[np.ndarray]]]:
     """Hinge loss over all ordered pairs plus analytic weight gradients."""
-    if feature_cfg.feature_dim != weights.config.feature_dim:
-        raise ShapeMismatch("feature config does not match the weights")
+    _check_feature_dim(weights, feature_cfg)
     batch = _batch if _batch is not None else _Batch(pairs, feature_cfg)
     n = batch.n
 
-    pooled = []
+    pooled = np.empty((len(batch.owner), weights.config.embed_dim))
     caches = []
-    for x, a in batch.molecules:
+    for rows, x, a in batch.groups:
         h, cache = _forward(x, a, weights)
-        pooled.append(h.sum(axis=0))
+        pooled[rows] = h.sum(axis=1)
         caches.append(cache)
     sides = np.zeros((2 * n, weights.config.embed_dim))
-    np.add.at(sides, batch.owner, np.array(pooled))
+    np.add.at(sides, batch.owner, pooled)
     h_r, h_p = sides[:n], sides[n:]
 
     rows = max(1, PAIR_BLOCK // (n * weights.config.embed_dim))
@@ -165,7 +171,8 @@ def contrastive_loss_and_grad(
 
     pair_weight = 1.0 / (n * (n - 1))
     own = np.diag(dist)
-    hinge = own[:, None] - dist + margin
+    hinge = own[:, None] - dist
+    hinge += margin
     np.fill_diagonal(hinge, 0.0)
     active = hinge > 0.0  # never on the diagonal
     loss = float(hinge[active].sum() * pair_weight)
@@ -190,12 +197,8 @@ def contrastive_loss_and_grad(
             diffs = np.concatenate([dh_p[None], diffs])
         dh_p = diffs.sum(axis=0)
     side_grads = np.concatenate(dh_r + [-dh_p])
-
-    grads = [[np.zeros_like(w) for w in hops] for hops in weights.layers]
-    for (_, a), cache, mol_grad in zip(batch.molecules, caches, side_grads[batch.owner]):
-        if np.any(mol_grad):
-            _backward_molecule(mol_grad, a, weights, cache, grads)
-    return loss, grads
+    del dist, active, d_dist  # before the backward pass adds its own arrays
+    return loss, _backward(batch, weights, caches, side_grads[batch.owner])
 
 
 def train_contrastive(

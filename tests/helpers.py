@@ -14,6 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
+from relm.encoder import GnnWeights
 from relm.molgraph import Atom, Bond, BondOrder, MolecularGraph
 
 BOND_ORDERS = (
@@ -102,6 +103,35 @@ def reference_tag_layer(x, a, weight_list, activation):
     if activation == "relu":
         total = np.maximum(total, 0.0)
     return total
+
+
+def reference_backward_molecule(
+    pooled_grad: np.ndarray,
+    a: np.ndarray,
+    weights: GnnWeights,
+    caches: list[dict],
+    grads: list[list[np.ndarray]],
+) -> None:
+    """Accumulates weight gradients for one molecule."""
+    n_nodes = a.shape[0]
+    dh = np.tile(pooled_grad, (n_nodes, 1))
+    for layer in range(len(weights.layers) - 1, -1, -1):
+        cache = caches[layer]
+        if cache["activation"] == "relu":
+            dz = dh * (cache["z"] > 0.0)
+        else:
+            dz = dh
+        hops = weights.layers[layer]
+        for k, w in enumerate(hops):
+            grads[layer][k] += cache["propagated"][k].T @ dz
+        if layer > 0:
+            dh_prev = np.zeros_like(cache["propagated"][0])
+            for k, w in enumerate(hops):
+                term = dz @ w.T
+                for _ in range(k):
+                    term = a @ term  # adjacency is symmetric
+                dh_prev += term
+            dh = dh_prev
 
 
 def reference_spearman(x, y) -> float:

@@ -963,7 +963,28 @@ def test_non_numeric_or_infinite_weight_exits_2(workspace, tmp_path, capsys, lit
     assert "layer 0 hop 0 data" in err
 
 
-@pytest.mark.parametrize("literal", ["true", '"1.5"', "1e400"])
+@pytest.mark.parametrize(
+    "scale, layers", [(1e200, 2), (1e300, 1)], ids=["every_layer_x1e200", "layer_0_x1e300"]
+)
+def test_weights_that_overflow_the_encoder_exit_2(workspace, tmp_path, capsys, scale, layers):
+    # every layer x 1e200 overflows the embeddings themselves; the first
+    # layer x 1e300 leaves them finite but their squared norms overflow
+    ws, base, _ = workspace
+    payload = json.loads((ws / "weights.npz").read_text())
+    for hops in payload["layers"][:layers]:
+        for hop in hops:
+            hop["data"] = [value * scale for value in hop["data"]]
+    (tmp_path / "w.json").write_text(json.dumps(payload))
+    cfg_path = write_config(tmp_path / "cfg.json", base, weights=str(tmp_path / "w.json"))
+    code = main(["build-index", "--config", cfg_path, "--out", str(tmp_path / "idx.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "weights overflow" in err
+    assert not (tmp_path / "idx.json").exists()
+
+
+# 1e200 is finite, but its square, and so the entry's squared norm, is not
+@pytest.mark.parametrize("literal", ["true", '"1.5"', "1e400", "1e200"])
 def test_non_numeric_or_infinite_embedding_exits_2(workspace, tmp_path, capsys, literal):
     ws, base, _ = workspace
     payload = json.loads((ws / "index.json").read_text())

@@ -19,9 +19,10 @@ from relm.encoder import (
 )
 from relm.encoder import training
 from relm.encoder.model import _forward
-from relm.encoder.training import _backward_molecule
 from relm.molgraph import FeatureConfig, graph_features, parse_smiles
 from relm.synthetic import synthetic_reactions
+
+from helpers import reference_backward_molecule
 
 FEATURE_CFG = FeatureConfig()
 
@@ -75,7 +76,8 @@ def loop_loss_and_grad(pairs, weights, feature_cfg, margin):
     """The loop formula the whole-array version replaced, kept as its
     bit-level reference: member lists pool each side, a loop over the
     reactions builds the hinge gradient, and nested loops route it back to
-    the molecules.  It shares the per-molecule forward and backward passes."""
+    the molecules.  Each molecule runs ``_forward`` alone and
+    ``reference_backward_molecule`` back."""
     molecules, reactant_members, product_members = [], [], []
     for reactants, products in pairs:
         for side, members in ((reactants, reactant_members), (products, product_members)):
@@ -127,7 +129,7 @@ def loop_loss_and_grad(pairs, weights, feature_cfg, margin):
             mol_grads[m] += dh_p[j]
     for m, (x, a) in enumerate(molecules):
         if np.any(mol_grads[m]):
-            _backward_molecule(mol_grads[m], a, weights, caches[m], grads)
+            reference_backward_molecule(mol_grads[m], a, weights, caches[m], grads)
     return loss, grads
 
 
@@ -177,6 +179,16 @@ def test_batch_needs_two_reactions_and_nonempty_sides():
 # ---- gradients ----
 
 
+def assert_matches_the_loop_formula(pairs, weights, margin):
+    loss, grads = contrastive_loss_and_grad(pairs, weights, FEATURE_CFG, margin)
+    want_loss, want_grads = loop_loss_and_grad(pairs, weights, FEATURE_CFG, margin)
+    assert np.array_equal(np.float64(loss), np.float64(want_loss))
+    assert any(np.any(g) for hops in grads for g in hops)
+    for hops, want_hops in zip(grads, want_grads, strict=True):
+        for g, want in zip(hops, want_hops, strict=True):
+            assert np.array_equal(g, want)
+
+
 @pytest.mark.parametrize("margin", [0.0, 1.0])
 def test_loss_and_gradients_are_bit_identical_to_the_loop_formula(margin):
     pairs = reaction_pairs(6, seed=3) + [
@@ -188,14 +200,7 @@ def test_loss_and_gradients_are_bit_identical_to_the_loop_formula(margin):
     cfg = EncoderConfig(
         feature_dim=FEATURE_CFG.feature_dim, embed_dim=6, num_layers=2, hops_per_layer=2
     )
-    weights = random_init(cfg, seed=5)
-    loss, grads = contrastive_loss_and_grad(pairs, weights, FEATURE_CFG, margin)
-    want_loss, want_grads = loop_loss_and_grad(pairs, weights, FEATURE_CFG, margin)
-    assert np.array_equal(np.float64(loss), np.float64(want_loss))
-    assert any(np.any(g) for hops in grads for g in hops)
-    for hops, want_hops in zip(grads, want_grads, strict=True):
-        for g, want in zip(hops, want_hops, strict=True):
-            assert np.array_equal(g, want)
+    assert_matches_the_loop_formula(pairs, random_init(cfg, seed=5), margin)
 
 
 def blocked_pairs():
@@ -209,19 +214,42 @@ def blocked_pairs():
     ]
 
 
-@pytest.mark.parametrize("margin, embed_dim", [(0.0, 6), (1.0, 6), (1.0, 16)])
+# embed_dim 1 makes the hidden layer's weight 1 x 1, whose terms a plain
+# sum over molecules would add pairwise
+@pytest.mark.parametrize("margin, embed_dim", [(0.0, 6), (1.0, 6), (1.0, 16), (1.0, 1)])
 def test_row_blocks_are_bit_identical_to_the_loop_formula(monkeypatch, margin, embed_dim):
     pairs = blocked_pairs()
     monkeypatch.setattr(training, "PAIR_BLOCK", 7 * len(pairs) * embed_dim)
     cfg = EncoderConfig(feature_dim=FEATURE_CFG.feature_dim, embed_dim=embed_dim)
+    assert_matches_the_loop_formula(pairs, random_init(cfg, seed=5), margin)
+
+
+def test_row_blocks_add_terms_in_molecule_order_past_a_zero_gradient(monkeypatch):
+    # row 20, a ten-carbon chain its reaction leaves alone, is far from
+    # every other reaction: no hinge term involving it is active, so its
+    # molecule's gradient is exactly zero and the sums must skip it
+    pairs = blocked_pairs()
+    pairs.insert(20, (["CCCCCCCCCC"], ["CCCCCCCCCC"]))
+    block = 7 * len(pairs) * 16
+    monkeypatch.setattr(training, "PAIR_BLOCK", block)
+    cfg = EncoderConfig(feature_dim=FEATURE_CFG.feature_dim, embed_dim=16)
     weights = random_init(cfg, seed=5)
-    loss, grads = contrastive_loss_and_grad(pairs, weights, FEATURE_CFG, margin)
-    want_loss, want_grads = loop_loss_and_grad(pairs, weights, FEATURE_CFG, margin)
-    assert np.array_equal(np.float64(loss), np.float64(want_loss))
-    assert any(np.any(g) for hops in grads for g in hops)
-    for hops, want_hops in zip(grads, want_grads, strict=True):
-        for g, want in zip(hops, want_hops, strict=True):
-            assert np.array_equal(g, want)
+    margin = 1.0
+
+    def embed(side):
+        return embed_set([g for s in side for g in parse_smiles(s)], weights, FEATURE_CFG).values
+
+    h_r = np.array([embed(reactants) for reactants, _ in pairs])
+    h_p = np.array([embed(products) for _, products in pairs])
+    dist = np.sqrt(((h_r[:, None, :] - h_p[None, :, :]) ** 2).sum(axis=2))
+    hinge = np.diag(dist)[:, None] - dist + margin
+    np.fill_diagonal(hinge, 0.0)
+    assert not (hinge[20] > 0.0).any() and not (hinge[:, 20] > 0.0).any()
+    # the first layer's terms come 7 molecules at a time, across groups
+    chunk = block // (FEATURE_CFG.feature_dim * 16)
+    groups = training._Batch(pairs, FEATURE_CFG).groups
+    assert any(rows[0] // chunk != rows[-1] // chunk for rows, _, _ in groups)
+    assert_matches_the_loop_formula(pairs, weights, margin)
 
 
 def late_block_pairs():

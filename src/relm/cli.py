@@ -4,8 +4,10 @@ strategy comparison, toy training and prompt inspection.
 One JSON config file carries every setting; command-line flags override
 single keys (flags win).  All randomness flows from the one seed in the
 config, fanned out by labeled sub-streams, so toggling one feature does
-not shift another's draws.  Exit codes: 0 success, 2 user or input
-error, 1 internal error.
+not shift another's draws.  Exit codes: 0 success; 2 an ``InputError``,
+the fault of an input file or setting (among them encoder weights that
+embed a training record to the zero vector, which CSS cannot rank
+examples by); 1 a backend failure or an internal error.
 """
 
 from __future__ import annotations
@@ -20,11 +22,6 @@ from typing import Any, Iterator, Sequence, get_type_hints
 from .corpus import (
     CssConfig,
     DatasetError,
-    DimMismatch,
-    EmptyCorpus,
-    FingerprintMismatch,
-    GroundTruthNotInTopK,
-    NotEnoughCandidates,
     ProductCorpus,
     ReactionRecord,
     RetrievalState,
@@ -36,33 +33,27 @@ from .corpus import (
 )
 from .molecules import MoleculeTable
 from .encoder import (
-    EmbeddingOverflow,
     EncoderConfig,
-    FormatError,
     GnnWeights,
     NonFiniteLoss,
-    ShapeError,
-    ShapeMismatch,
     TrainingHyper,
     load_weights,
     save_weights,
     train_contrastive,
 )
-from .loading import convert, make_dir, read_json, text_builder, write_file
+from .loading import InputError, convert, make_dir, read_json, text_builder, write_file
 from .evaluation import (
     EvalReport,
-    MissingGroundTruth,
-    ReportError,
     StrategyRow,
     build_report,
     check_ground_truth,
+    check_prompt,
     hit_at_k,
     write_outcomes_csv,
     write_report_json,
     write_strategy_csv,
 )
 from .lmclient import (
-    AuthFailure,
     BackendConfig,
     BackendKind,
     LmClientError,
@@ -72,17 +63,11 @@ from .lmclient import (
     load_mock_script,
     run_dataset,
 )
-from .molgraph import FeatureConfig, SmilesError
-from .prompt import (
-    PromptConfig,
-    SchemaConflict,
-    Strategy,
-    TemplateError,
-    TemplateSet,
-)
+from .molgraph import FeatureConfig
+from .prompt import PromptConfig, Strategy, TemplateSet
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError, ValueError):
     """A problem in the run configuration file or its overrides."""
 
 
@@ -251,7 +236,7 @@ class _Inputs:
         """
         check_ground_truth(self.records, self.corpus)
         for prompt in prompts:
-            _check_examples(prompt, self.train, self.records)
+            check_prompt(prompt, self.corpus, self.train, self.records)
 
         def run() -> Iterator[EvalReport]:
             for prompt, pipeline in zip(prompts, self.pipelines(cfg, prompts)):
@@ -262,27 +247,6 @@ class _Inputs:
                                    pipeline.feature_cfg, prompt.k, config=config)
 
         return run()
-
-
-def _check_examples(
-    prompt: PromptConfig, train: Sequence[ReactionRecord], queries: Sequence[ReactionRecord]
-) -> None:
-    """Fail before any query when CSS cannot show and perturb enough examples:
-    the config's n is too small, or the training set is."""
-    if not prompt.strategy.shows_confidence:
-        return
-    if prompt.n < 2 or prompt.css.num_perturbed > prompt.n:
-        raise ConfigError(
-            f"{prompt.strategy.label} needs n >= 2 and css num_perturbed <= n"
-        )
-    train_ids = {r.id for r in train}
-    usable = len(train) - any(q.id in train_ids for q in queries)  # a query is never its own example
-    needed = max(2, prompt.css.num_perturbed)
-    if min(prompt.n, usable) < needed:
-        raise DatasetError(
-            f"{prompt.strategy.label} needs {needed} in-context examples per query, but "
-            f"n={prompt.n} and the training set has {usable} usable example record(s)"
-        )
 
 
 # ---- commands ----
@@ -309,7 +273,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     record = load_record(args.reaction)  # before the pipeline embeds the training set
     inputs = _Inputs.load(cfg)
     prompt_cfg = cfg.prompt_config()
-    _check_examples(prompt_cfg, inputs.train, [record])
+    check_prompt(prompt_cfg, inputs.corpus, inputs.train, [record])
     (pipeline,) = inputs.pipelines(cfg, [prompt_cfg])
     if args.dry_run:
         prompt = pipeline.render_prompt(record)
@@ -527,35 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# input errors exit 2; a bare ValueError or FileNotFoundError is a bug in the
-# program (every path a user names is read with its own error type) and exits 1
-_USER_ERRORS = (
-    ConfigError,
-    DatasetError,
-    SmilesError,
-    EmptyCorpus,
-    MissingGroundTruth,
-    ReportError,
-    AuthFailure,
-    FingerprintMismatch,
-    FormatError,
-    ShapeError,
-    ShapeMismatch,
-    EmbeddingOverflow,
-    DimMismatch,
-    TemplateError,
-    SchemaConflict,
-    NotEnoughCandidates,
-    GroundTruthNotInTopK,
-)
-
-
+# the module that defines an error type decides whether it is an InputError;
+# a bare ValueError or FileNotFoundError is a bug in the program (every path
+# a user names is read with its own error type) and exits 1
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USER_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LmClientError as exc:

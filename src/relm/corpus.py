@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoder import Embedding, GnnWeights, embed_set
-from .loading import convert, convert_fields, decode_json, read_file, read_json, write_file
+from .loading import InputError, convert, convert_fields, decode_json, read_file, read_json, write_file
 from .molgraph import FeatureConfig, MolecularGraph, SmilesError, parse_smiles
 from .molgraph.canonical import canonical_key
 from .molecules import EMBED_CHUNK, MoleculeTable, embed_parsed, embed_sides
@@ -45,31 +45,31 @@ from .molecules import EMBED_CHUNK, MoleculeTable, embed_parsed, embed_sides
 logger = logging.getLogger(__name__)
 
 
-class DimMismatch(ValueError):
+class DimMismatch(InputError, ValueError):
     """Raised when embeddings of different dimension are combined."""
 
 
-class EmptyCorpus(ValueError):
+class EmptyCorpus(InputError, ValueError):
     """Raised when an index would contain no entries."""
 
 
-class ZeroNormEmbedding(ValueError):
+class ZeroNormEmbedding(InputError, ValueError):
     """Raised when cosine similarity meets a zero-length vector."""
 
 
-class GroundTruthNotInTopK(RuntimeError):
+class GroundTruthNotInTopK(InputError, RuntimeError):
     """Raised when no usable in-context example candidates remain."""
 
 
-class NotEnoughCandidates(ValueError):
+class NotEnoughCandidates(InputError, ValueError):
     """Raised when a perturbed example has no wrong candidate to show."""
 
 
-class FingerprintMismatch(RuntimeError):
+class FingerprintMismatch(InputError, RuntimeError):
     """Raised when an index was built by different weights."""
 
 
-class DatasetError(ValueError):
+class DatasetError(InputError, ValueError):
     """Raised for malformed dataset or index files."""
 
 

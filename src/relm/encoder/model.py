@@ -21,12 +21,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..loading import InputError
 from ..molgraph import FeatureConfig, MolecularGraph, graph_features, stacked_features
 
 ACTIVATIONS = ("relu", "identity")
 
 
-class ShapeMismatch(ValueError):
+class ShapeMismatch(InputError, ValueError):
     """Raised when weights, features or embeddings disagree on shape."""
 
 
@@ -34,7 +35,7 @@ class EmptySet(ValueError):
     """Raised when embedding an empty molecule set."""
 
 
-class EmbeddingOverflow(ValueError):
+class EmbeddingOverflow(InputError, ValueError):
     """Raised when the weights drive an embedding or its squared norm past float64."""
 
 

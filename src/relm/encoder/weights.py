@@ -18,15 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ..loading import convert, convert_fields, read_json, write_file
-from .model import EncoderConfig, ShapeMismatch
+from ..loading import InputError, convert, convert_fields, read_json, write_file
+from .model import EncoderConfig
 
 
-class FormatError(ValueError):
+class FormatError(InputError, ValueError):
     """Raised for unreadable or structurally wrong weight files."""
 
 
-class ShapeError(ValueError):
+class ShapeError(InputError, ValueError):
     """Raised when declared shapes disagree with data or the layer chain."""
 
 
@@ -139,9 +139,4 @@ def load_weights(path: str | Path) -> GnnWeights:
                 raise FormatError(f"{where} data must be finite numbers")
             matrices.append(matrix)
         layers.append(matrices)
-    try:
-        return GnnWeights(config=config, layers=layers)
-    except ShapeError:
-        raise
-    except ShapeMismatch as exc:
-        raise ShapeError(str(exc)) from exc
+    return GnnWeights(config=config, layers=layers)

@@ -13,21 +13,22 @@ import csv
 import io
 import json
 import statistics
+import string
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import ProductCorpus, ReactionRecord, RetrievalState, top_k_candidates
+from .corpus import DatasetError, ProductCorpus, ReactionRecord, RetrievalState, top_k_candidates
 from .encoder import GnnWeights
 from .lmclient import BackendConfig, Pipeline, PredictionResult, mes_vote, run_dataset
-from .loading import write_file
+from .loading import InputError, write_file
 from .molgraph import FeatureConfig
-from .prompt import PromptConfig, Strategy, TemplateSet
+from .prompt import PromptConfig, SchemaConflict, Strategy, TemplateSet
 
 
-class MissingGroundTruth(ValueError):
+class MissingGroundTruth(InputError, ValueError):
     """A query's true product set is not in the corpus (or not given)."""
 
     def __init__(self, message: str, ids: Sequence[str] = ()):
@@ -39,7 +40,7 @@ class DegenerateRanks(ValueError):
     """A rank vector is constant; correlation is undefined."""
 
 
-class ReportError(ValueError):
+class ReportError(InputError, ValueError):
     """A report or table file cannot be written."""
 
 
@@ -108,6 +109,35 @@ def check_ground_truth(
     if missing:
         raise MissingGroundTruth(
             f"ground truth absent from the corpus for: {missing}", missing
+        )
+
+
+def check_prompt(
+    prompt: PromptConfig,
+    corpus: ProductCorpus,
+    train: Sequence[ReactionRecord],
+    queries: Sequence[ReactionRecord],
+) -> None:
+    """Fail before any query when a prompt config cannot run: more
+    candidates than letter labels, or CSS that cannot show and perturb
+    enough examples because the config's n is too small, or the training
+    set is."""
+    shown = min(prompt.k, len(corpus.entries))
+    if shown > len(string.ascii_uppercase):
+        raise SchemaConflict(f"{shown} candidates exceed the letter labels")
+    if not prompt.strategy.shows_confidence:
+        return
+    if prompt.n < 2 or prompt.css.num_perturbed > prompt.n:
+        raise SchemaConflict(
+            f"{prompt.strategy.label} needs n >= 2 and css num_perturbed <= n"
+        )
+    train_ids = {r.id for r in train}
+    usable = len(train) - any(q.id in train_ids for q in queries)  # a query is never its own example
+    needed = max(2, prompt.css.num_perturbed)
+    if min(prompt.n, usable) < needed:
+        raise DatasetError(
+            f"{prompt.strategy.label} needs {needed} in-context examples per query, but "
+            f"n={prompt.n} and the training set has {usable} usable example record(s)"
         )
 
 
@@ -422,27 +452,29 @@ def compare_strategies(
     """One row per strategy over identical samples, seeds and corpus.
 
     Each row is read off the strategy's ``build_report``, so it equals
-    what ``evaluate`` reports for that strategy; the ground truth is
-    checked before any query runs.  Each row gets a fresh pipeline (and
-    thus fresh mock state), rendering with the given IUPAC table and
-    templates, so rows cannot contaminate each other; MES rows report the
-    full multi-run token total per sample.  The rows share one retrieval
+    what ``evaluate`` reports for that strategy; the ground truth and
+    every strategy's prompt config are checked before any query runs.
+    Each row gets a fresh pipeline (and thus fresh mock state), rendering
+    with the given IUPAC table and templates, so rows cannot contaminate
+    each other; MES rows report the full multi-run token total per sample.  The rows share one retrieval
     state, so the training set is embedded at most once.
     """
     if not records:
         raise ValueError("strategy comparison needs at least one record")
     check_ground_truth(records, corpus)
+    prompts = [replace(prompt_cfg, strategy=strategy) for strategy in strategies]
+    for cfg in prompts:
+        check_prompt(cfg, corpus, train, records)
     state = RetrievalState(corpus, train, weights, feature_cfg)
     rows = []
-    for strategy in strategies:
-        cfg = replace(prompt_cfg, strategy=strategy)
+    for cfg in prompts:
         pipeline = Pipeline(
             corpus, train, weights, feature_cfg, cfg, backend_cfg,
             iupac_table=iupac_table, templates=templates, seed=seed, state=state,
         )
         results = run_dataset(pipeline, records, max_concurrency=max_concurrency)
         report = build_report(results, records, corpus, weights, feature_cfg, prompt_cfg.k)
-        rows.append(StrategyRow.from_report(strategy.label, report))
+        rows.append(StrategyRow.from_report(cfg.strategy.label, report))
     return rows
 
 

@@ -42,7 +42,7 @@ from .corpus import (
     top_k_candidates,
 )
 from .encoder import Embedding, GnnWeights, embed_set
-from .loading import convert, convert_fields, read_json
+from .loading import InputError, convert, convert_fields, read_json
 from .molgraph import FeatureConfig
 from .prompt import (
     AnswerSchema,
@@ -70,7 +70,7 @@ class Timeout(LmClientError):
     pass
 
 
-class AuthFailure(LmClientError):
+class AuthFailure(InputError, LmClientError):
     pass
 
 

@@ -3,7 +3,9 @@ values against field types.
 
 A file that cannot be read or written, is not UTF-8 or is not JSON, and
 a value whose type does not fit the field it fills, raise the caller's
-own error type with the path or key in the message.
+own error type with the path or key in the message.  Every such type, and
+every other error a user's input or settings cause, is an ``InputError``:
+where an error type is defined decides whose fault it is.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ from enum import Enum
 from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
+
+
+class InputError(Exception):
+    """Marks an error type as the fault of the input, not of the program;
+    each such type also keeps its own base, such as ``ValueError``."""
 
 
 @contextmanager

@@ -13,6 +13,8 @@ from enum import Enum
 from functools import cached_property
 from operator import itemgetter
 
+from ..loading import InputError
+
 # Elements writable without brackets, in SMILES "organic subset" style.
 ORGANIC_SUBSET = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
 
@@ -27,7 +29,7 @@ AROMATIC_ELEMENTS = ("B", "C", "N", "O", "P", "S")
 MAX_ABS_CHARGE = 4
 
 
-class SmilesError(ValueError):
+class SmilesError(InputError, ValueError):
     """Base class for SMILES reading and writing failures.
 
     ``offset`` is the byte offset into the input string where the problem

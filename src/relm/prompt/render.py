@@ -15,10 +15,11 @@ from enum import Enum
 from typing import NamedTuple
 
 from ..corpus import CandidateList, CssConfig, InContextExample, ReactionRecord
+from ..loading import InputError
 from .templating import TemplateSet, default_templates
 
 
-class SchemaConflict(ValueError):
+class SchemaConflict(InputError, ValueError):
     """Raised when strategy, context and schema cannot fit together."""
 
 

@@ -15,10 +15,10 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from ..loading import read_file
+from ..loading import InputError, read_file
 
 
-class TemplateError(ValueError):
+class TemplateError(InputError, ValueError):
     """Raised for unknown slots, bad placeholders or unreadable files."""
 
 

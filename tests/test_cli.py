@@ -1,8 +1,10 @@
 """Command-line interface: round trips, exit codes, file formats."""
 
 import dataclasses
+import importlib
 import inspect
 import json
+import pkgutil
 import shutil
 import sys
 from pathlib import Path
@@ -22,6 +24,7 @@ from relm.cli import main
 from relm.corpus import CssConfig, corpus_from_records, save_dataset, save_index
 from relm.encoder import EncoderConfig, random_init, save_weights
 from relm.lmclient import BackendConfig
+from relm.loading import InputError
 from relm.molgraph import FeatureConfig, parse_smiles
 from relm.synthetic import synthetic_reactions
 
@@ -472,6 +475,89 @@ def test_internal_file_not_found_exits_1(workspace, capsys, monkeypatch):
     assert "internal error: FileNotFoundError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["build-index", "--out", "idx.json"],
+        ["predict", "--reaction", "query.json"],
+        ["evaluate"],
+        ["compare-strategies", "--strategies", "plain", "--out", "rows.csv"],
+        ["train-toy", "--out-weights", "w.json", "--out-trace", "trace.csv"],
+        ["inspect-prompt", "--reaction", "query.json"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_every_command_exits_2_on_any_input_error(tmp_path, capsys, monkeypatch, command):
+    # an error type no module defines: being an InputError is all exit 2 needs
+    class Boom(InputError, ValueError):
+        pass
+
+    def broken(*args, **kwargs):
+        raise Boom("a bad input")
+
+    monkeypatch.setattr(relm.cli, "load_run_config", broken)
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == 2
+    assert capsys.readouterr().err == "error: a bad input\n"
+
+
+# backend failures, and errors no input or setting causes: they exit 1
+EXIT_1_ERRORS = {
+    "LmClientError",
+    "Timeout",
+    "RateLimitedExhausted",
+    "MalformedResponse",
+    "NonFiniteLoss",
+    "EmptySet",
+    "DegenerateRanks",
+    "_Transient",
+    "_Mismatch",
+}
+
+
+def test_every_error_type_is_an_input_error_or_exits_1():
+    modules = [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(relm.__path__, "relm.")
+    ]
+    errors = {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and issubclass(value, BaseException)
+        and value.__module__ == module.__name__
+    }
+    names = {error.__name__ for error in errors}
+    assert EXIT_1_ERRORS <= names, EXIT_1_ERRORS - names
+    unsorted = [
+        error.__name__
+        for error in errors
+        if not issubclass(error, InputError) and error.__name__ not in EXIT_1_ERRORS
+    ]
+    assert not unsorted, f"neither InputError nor listed as exit 1: {sorted(unsorted)}"
+
+
+def test_zero_weights_build_an_index_but_css_exits_2(workspace, tmp_path, capsys):
+    # every embedding is the zero vector: retrieval still ranks the index,
+    # but CSS example selection needs a cosine similarity
+    ws, base, _ = workspace
+    payload = json.loads((ws / "weights.npz").read_text())
+    for hops in payload["layers"]:
+        for hop in hops:
+            hop["data"] = [0.0] * len(hop["data"])
+    (tmp_path / "w.json").write_text(json.dumps(payload))
+    cfg_path = write_config(
+        tmp_path / "cfg.json", base,
+        weights=str(tmp_path / "w.json"), index=str(tmp_path / "idx.json"),
+    )
+    assert main(["build-index", "--config", cfg_path, "--out", str(tmp_path / "idx.json")]) == 0
+    capsys.readouterr()
+    code = main(["evaluate", "--config", cfg_path, "--out-dir", str(tmp_path / "reports")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: cosine similarity undefined for a zero vector\n"
+
+
 def test_bad_strategies_value_exits_2(workspace, tmp_path, capsys):
     ws, _, _ = workspace
     code = main(
@@ -688,6 +774,32 @@ def test_bad_k_sweep_exits_2(workspace, tmp_path, capsys):
     )
     assert code == 2
     assert "7..2" in capsys.readouterr().err
+
+
+def test_a_k_past_the_letter_labels_exits_2_before_any_report(tmp_path, capsys):
+    # 60 product sets: K=25 and K=26 could run, but K=27 cannot be lettered
+    train = synthetic_reactions(60, seed=0)
+    weights = random_init(
+        EncoderConfig(feature_dim=FEATURE_CFG.feature_dim, embed_dim=8), seed=1
+    )
+    save_dataset(train, tmp_path / "train.jsonl")
+    save_weights(weights, tmp_path / "w.json")
+    save_index(corpus_from_records(train, weights, FEATURE_CFG), tmp_path / "index.json")
+    cfg_path = write_config(
+        tmp_path / "cfg.json",
+        {
+            "weights": str(tmp_path / "w.json"),
+            "index": str(tmp_path / "index.json"),
+            "dataset": str(tmp_path / "train.jsonl"),
+            "backend": {"kind": "oracle"},
+            "strategy": "plain",
+        },
+    )
+    reports = tmp_path / "reports"
+    code = main(["evaluate", "--config", cfg_path, "--k", "25..27", "--out-dir", str(reports)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: 27 candidates exceed the letter labels\n"
+    assert not reports.exists()
 
 
 def test_unknown_subcommand_raises_system_exit(workspace):

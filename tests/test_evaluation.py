@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import random
+import re
 import statistics
 
 import pytest
@@ -36,7 +37,7 @@ from relm.evaluation import (
 )
 from relm.lmclient import BackendConfig, BackendKind, MockRule, Pipeline, run_dataset
 from relm.molgraph import FeatureConfig
-from relm.prompt import PromptConfig, Strategy, StrategyKind
+from relm.prompt import PromptConfig, SchemaConflict, Strategy, StrategyKind
 from relm.synthetic import synthetic_reactions
 
 FEATURE_CFG = FeatureConfig()
@@ -458,6 +459,20 @@ def test_compare_strategies_checks_truth_before_any_query(setup):
             [Strategy(StrategyKind.PLAIN)],
         )
     assert info.value.ids == ("alien",)
+
+
+def test_compare_strategies_checks_every_prompt_before_any_query(setup):
+    # n=1 leaves CSS nothing to perturb; the plain row would run first
+    weights, train, corpus = setup
+    backend = BackendConfig(  # a backend call would fail: the rule matches no prompt
+        kind=BackendKind.MOCK, mock_script=(MockRule(match="zz-never", response="A"),)
+    )
+    message = re.escape("css needs n >= 2 and css num_perturbed <= n")
+    with pytest.raises(SchemaConflict, match=message):
+        compare_strategies(
+            train[:2], train, corpus, weights, FEATURE_CFG, PromptConfig(k=4, n=1), backend,
+            [Strategy(StrategyKind.PLAIN), Strategy(StrategyKind.CSS)],
+        )
 
 
 def test_compare_strategies_rejects_empty(setup):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import string
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -305,6 +306,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+# every K runs lettered candidates: past 26 values, a sweep holds a K that
+# exceeds the letters or repeats a smaller K's candidates (the whole index)
+_MAX_SWEEP = len(string.ascii_uppercase)
+
+
 def _parse_k_spec(spec: str) -> list[int]:
     spec = spec.strip()
     if ".." in spec:
@@ -312,6 +318,8 @@ def _parse_k_spec(spec: str) -> list[int]:
         lo, hi = int(lo_text), int(hi_text)
         if lo < 1 or hi < lo:
             raise ConfigError(f"bad K range {spec!r}")
+        if hi - lo >= _MAX_SWEEP:
+            raise ConfigError(f"K range {spec!r} has more than {_MAX_SWEEP} values")
         return list(range(lo, hi + 1))
     value = int(spec)
     if value < 1:
@@ -330,8 +338,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     base = cfg.prompt_config()
     reports = inputs.reports(cfg, [replace(base, k=k) for k in ks])
     out_dir = Path(args.out_dir)
-    make_dir(out_dir, ConfigError)
     for k, report in zip(ks, reports):
+        make_dir(out_dir, ConfigError)  # once a report is ready: a failed run leaves none
         write_report_json(report, out_dir / f"report_k{k}.json")
         write_outcomes_csv(report.outcomes, out_dir / f"samples_k{k}.csv")
         print(
@@ -459,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run the evaluation harness")
     _add_common(p)
-    p.add_argument("--k", help="candidate count or sweep range like 2..7")
+    p.add_argument("--k", help="candidate count or sweep range like 2..7 (at most 26 values)")
     p.add_argument("--eval-dataset", dest="eval_dataset", help="queries JSONL")
     p.add_argument("--out-dir", dest="out_dir", default=".", help="report directory")
     p.set_defaults(func=cmd_evaluate)

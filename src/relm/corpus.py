@@ -4,7 +4,12 @@ Every reader of a command's inputs (``load_dataset``, ``load_index``,
 ``build_index`` and ``ReactionRecord.product_key``) works through that
 command's ``MoleculeTable``, so each distinct SMILES string is checked and
 keyed at most once per command; ``TrainingEmbeddings`` embeds each
-distinct reactant string once.  The corpus holds every known product set with a precomputed embedding.
+distinct reactant string once.  Keys also outlive the command that made
+them: ``save_index`` writes the build's keys beside the index
+(``<stem>.keys.json``, with ``KEY_VERSION`` and the SHA-256 of the index
+bytes), and ``load_index`` hands them to the reading command's table when
+both still match, so that command parses the index's products but keys
+none of them again.  The corpus holds every known product set with a precomputed embedding.
 Retrieval is exact flat search in one kernel, ``top_k_block``, over a
 block of query rows.  A filter scores every entry for every row by the
 expansion ``|m|^2 - 2 m.v`` (one matrix product) and keeps each entry
@@ -26,19 +31,29 @@ while the rest keep the true answer with high confidence.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import logging
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .encoder import Embedding, GnnWeights, embed_set
-from .loading import InputError, convert, convert_fields, decode_json, read_file, read_json, write_file
-from .molgraph import FeatureConfig, MolecularGraph, SmilesError, parse_smiles
+from .loading import (
+    InputError,
+    convert,
+    convert_fields,
+    decode_json,
+    read_file,
+    read_json,
+    read_json_and_digest,
+    write_file,
+)
+from .molgraph import KEY_VERSION, FeatureConfig, MolecularGraph, SmilesError, parse_smiles
 from .molgraph.canonical import canonical_key
 from .molecules import EMBED_CHUNK, MoleculeTable, embed_parsed, embed_sides
 
@@ -486,7 +501,17 @@ def top_k_candidates(
 # ---- index persistence ----
 
 
+def keys_path(path: str | Path) -> Path:
+    """The file beside an index that keeps its product strings' structure
+    keys: ``<stem>.keys.json``."""
+    path = Path(path)
+    return path.with_name(f"{path.stem}.keys.json")
+
+
 def save_index(corpus: ProductCorpus, path: str | Path) -> None:
+    """Write an index file, then its ``keys_path`` file: each entry
+    product string's fragment keys, from the table that keyed the corpus,
+    with ``KEY_VERSION`` and the SHA-256 of the index bytes just written."""
     payload = {
         "fingerprint": corpus.fingerprint,
         "entries": [
@@ -498,20 +523,38 @@ def save_index(corpus: ProductCorpus, path: str | Path) -> None:
             for e in corpus.entries
         ],
     }
+    digest = hashlib.sha256()
+
+    def hashed(chunks: Iterator[str]) -> Iterator[str]:
+        # a few thousand chunks (~64 KB) at a time: one encode, hash and
+        # write per block costs less than a write per chunk did unhashed
+        while block := "".join(itertools.islice(chunks, 4096)):
+            digest.update(block.encode("utf-8"))
+            yield block
+
     # streamed: json.dumps would hold the whole text, the peak of build-index
     text = itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
-    write_file(path, text, DatasetError)
+    write_file(path, hashed(text), DatasetError)
+    molecules = corpus.molecules or MoleculeTable()
+    keys = {s: molecules.set_key([s]) for e in corpus.entries for s in e.products}
+    stored = {"key_version": KEY_VERSION, "index_sha256": digest.hexdigest(), "keys": keys}
+    write_file(keys_path(path), json.dumps(stored) + "\n", DatasetError)
 
 
 def load_index(path: str | Path, molecules: MoleculeTable | None = None) -> ProductCorpus:
     """Read an index file; each entry's keys come from the command's
-    molecule table (a new one when none is given)."""
+    molecule table (a new one when none is given).  Every product string
+    is parsed; the table takes its keys from the ``keys_path`` file when
+    that file holds them for these exact index bytes and ``KEY_VERSION``,
+    and keys the string itself otherwise."""
     molecules = molecules or MoleculeTable()
-    payload = convert(read_json(path, DatasetError), dict, f"{path}: index", DatasetError)
+    document, digest = read_json_and_digest(path, DatasetError)
+    payload = convert(document, dict, f"{path}: index", DatasetError)
     if set(payload) != {"fingerprint", "entries"}:
         raise DatasetError(f"{path}: index must have 'fingerprint' and 'entries'")
     fingerprint = convert(payload["fingerprint"], str, f"{path}: fingerprint", DatasetError)
     raw_entries = convert(payload["entries"], list, f"{path}: entries", DatasetError)
+    stored = _stored_keys(path, digest)
     entries: dict[str, CorpusEntry] = {}
     for idx, raw in enumerate(raw_entries):
         where = f"{path}: entry {idx}"
@@ -524,7 +567,7 @@ def load_index(path: str | Path, molecules: MoleculeTable | None = None) -> Prod
         if not products:
             raise DatasetError(f"{where}: products must be a non-empty list")
         try:
-            keys = molecules.set_key(products)
+            keys = molecules.set_key(products, stored)
         except SmilesError as exc:
             raise DatasetError(f"{where}: unparseable product SMILES: {exc}") from exc
         values = convert(raw["embedding"], tuple[float, ...], f"{where}: embedding", DatasetError)
@@ -538,6 +581,20 @@ def load_index(path: str | Path, molecules: MoleculeTable | None = None) -> Prod
     return ProductCorpus(
         entries=tuple(entries.values()), fingerprint=fingerprint, molecules=molecules
     )
+
+
+def _stored_keys(path: str | Path, digest: str) -> dict[str, tuple[str, ...]]:
+    """The keys an index's ``keys_path`` file keeps, or none when that file
+    is missing or malformed, or was written for other index bytes or
+    another ``KEY_VERSION``: then every string is keyed again."""
+    try:
+        stored = convert(read_json(keys_path(path), DatasetError), dict, "keys file", DatasetError)
+        version = convert(stored.get("key_version"), int, "key_version", DatasetError)
+        if version != KEY_VERSION or stored.get("index_sha256") != digest:
+            return {}
+        return convert(stored.get("keys"), dict[str, tuple[str, ...]], "keys", DatasetError)
+    except DatasetError:
+        return {}
 
 
 # ---- in-context examples ----

@@ -10,6 +10,7 @@ where an error type is defined decides whose fault it is.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import reprlib
@@ -81,6 +82,20 @@ def decode_json(text: str, where: str, error: type[Exception]) -> Any:
 def read_json(path: str | Path, error: type[Exception]) -> Any:
     """The JSON document in a UTF-8 file."""
     return decode_json(read_file(path, error), str(path), error)
+
+
+def read_json_and_digest(path: str | Path, error: type[Exception]) -> tuple[Any, str]:
+    """The JSON document in a UTF-8 file and the SHA-256 hex digest of its
+    bytes, from one read."""
+    with _os_errors("read", path, error):
+        data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+    del data  # only the text is parsed: hold one copy of the file, as read_json does
+    return decode_json(text, str(path), error), digest
 
 
 def text_builder(kind: Any) -> Callable[[str], Any] | None:

@@ -7,6 +7,10 @@ process share no work.  The table holds, once first asked for, the
 sorted structure keys of each string's dot-separated fragments.  No
 parsed graph is kept, and a string that was only checked is not kept
 either: at 20,000 reactions that dictionary raised peak memory by ~2%.
+A reader may hand ``set_key`` keys a file kept (``load_index`` passes an
+index's ``.keys.json``): a string new to the table is then still parsed,
+so a bad string fails as before, but takes its stored keys instead of
+being keyed again.
 
 Embeddings are not kept either: a command embeds a set of sides once (the
 index's product sets, or the training set's reactants), so rows kept for
@@ -22,7 +26,7 @@ embedding its training set in one process peaked at 170 MB, against 82 MB.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,9 +57,17 @@ class MoleculeTable:
             if smiles not in self._keys:
                 parse_smiles(smiles)
 
-    def set_key(self, side: Sequence[str]) -> tuple[str, ...]:
-        """Sorted multiset of the structure keys of every fragment of side."""
-        keys = [self._keys.get(smiles) or self._key(smiles, parse_smiles(smiles)) for smiles in side]
+    def set_key(
+        self, side: Sequence[str], stored: Mapping[str, tuple[str, ...]] | None = None
+    ) -> tuple[str, ...]:
+        """Sorted multiset of the structure keys of every fragment of side.
+        A string new to the table is parsed, then keyed from the parse, or
+        given its keys from stored when they are there."""
+        stored = stored or {}
+        keys = [
+            self._keys.get(smiles) or self._key(smiles, parse_smiles(smiles), stored.get(smiles))
+            for smiles in side
+        ]
         if len(keys) == 1:
             return keys[0]
         return tuple(sorted(key for string_keys in keys for key in string_keys))
@@ -68,8 +80,11 @@ class MoleculeTable:
             self._key(smiles, graphs)
         return graphs
 
-    def _key(self, smiles: str, graphs: list[MolecularGraph]) -> tuple[str, ...]:
-        return self._keys.setdefault(smiles, tuple(sorted(canonical_key(g) for g in graphs)))
+    def _key(
+        self, smiles: str, graphs: list[MolecularGraph], stored: tuple[str, ...] | None = None
+    ) -> tuple[str, ...]:
+        keys = stored or tuple(sorted(canonical_key(g) for g in graphs))
+        return self._keys.setdefault(smiles, keys)
 
 
 def embed_sides(

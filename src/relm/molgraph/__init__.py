@@ -1,6 +1,6 @@
 """Molecular graphs: SMILES reading and writing, structural keys, features."""
 
-from .canonical import REFINEMENT_ROUNDS, canonical_key
+from .canonical import KEY_VERSION, REFINEMENT_ROUNDS, canonical_key
 from .features import FeatureConfig, graph_features, stacked_features
 from .parser import parse_smiles
 from .types import (
@@ -30,6 +30,7 @@ __all__ = [
     "BondOrder",
     "EmptyInput",
     "FeatureConfig",
+    "KEY_VERSION",
     "MAX_ABS_CHARGE",
     "METAL_ELEMENTS",
     "MolecularGraph",

@@ -8,6 +8,10 @@ equal for isomorphic graphs, but this is 1-WL colour refinement, so
 non-isomorphic graphs that it cannot separate share a key.  Decalin
 ``C1CCC2CCCCC2C1`` and bicyclopentyl ``C1CCC(C1)C1CCCC1`` are one such
 pair: no number of rounds tells them apart, and they get the same key.
+
+``KEY_VERSION`` names this key function.  Files that keep keys (an
+index's ``.keys.json``) record it and are ignored under another version,
+so any change to a key's bytes must bump it.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import functools
 import hashlib
 
 from .types import MolecularGraph
+
+KEY_VERSION = 1
 
 REFINEMENT_ROUNDS = 4
 

@@ -8,13 +8,17 @@ answers.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 
+from relm.corpus import keys_path
 from relm.encoder import GnnWeights
+from relm.molgraph import KEY_VERSION
 from relm.molgraph import Atom, Bond, BondOrder, MolecularGraph
 
 BOND_ORDERS = (
@@ -160,3 +164,47 @@ def reference_spearman(x, y) -> float:
     var_x = sum((a - mean_x) ** 2 for a in rx)
     var_y = sum((b - mean_y) ** 2 for b in ry)
     return cov / math.sqrt(var_x * var_y)
+
+
+# each way an index's .keys.json can stop belonging to it
+KEYS_FILE_DAMAGE = (
+    "missing",
+    "stale-digest",
+    "other-key-version",
+    "truncated",
+    "not-json",
+    "key-not-a-list-of-strings",
+    "string-missing",
+)
+
+
+def damage_keys_file(index: Path, how: str) -> None:
+    """Spoil the keys file beside index in one of the KEYS_FILE_DAMAGE ways.
+
+    Where the damage makes the whole file unusable, every other string's
+    keys are replaced by a made-up key, so a loader that read the file
+    anyway would hand out keys no parse gives."""
+    path = keys_path(index)
+    stored = json.loads(path.read_text())
+    poisoned = {**stored, "keys": {s: ["0" * 32] for s in stored["keys"]}}
+    first = next(iter(stored["keys"]))
+    if how == "missing":
+        path.unlink()
+    elif how == "stale-digest":  # the index edited after the build
+        index.write_text(index.read_text() + " ")
+        path.write_text(json.dumps(poisoned))
+    elif how == "other-key-version":
+        path.write_text(json.dumps({**poisoned, "key_version": KEY_VERSION + 1}))
+    elif how == "truncated":
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+    elif how == "not-json":
+        path.write_text("not-json")
+    elif how == "key-not-a-list-of-strings":
+        poisoned["keys"][first] = [5]
+        path.write_text(json.dumps(poisoned))
+    elif how == "string-missing":
+        del stored["keys"][first]
+        path.write_text(json.dumps(stored))
+    else:
+        raise ValueError(how)

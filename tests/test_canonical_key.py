@@ -6,12 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relm.corpus import molecules_key
-from relm.molgraph import canonical_key, parse_smiles
+from relm.molgraph import KEY_VERSION, canonical_key, parse_smiles
 
 
 def key_of(smiles: str) -> str:
     (g,) = parse_smiles(smiles)
     return canonical_key(g)
+
+
+# the keys each KEY_VERSION gives.  An index's keys file records the
+# version it was keyed under, and a loader trusts keys of its own version,
+# so a change to any key must bump KEY_VERSION and pin the new keys here.
+KEYS_BY_VERSION = {
+    1: {
+        "C1CCC2CCCCC2C1": "9b133449334233dd0b903b9a0f387cfa",  # decalin
+        "C1CCC(C1)C1CCCC1": "9b133449334233dd0b903b9a0f387cfa",  # bicyclopentyl
+        "CCO": "aedc58d785daa02fbfabaaad43867215",
+        "c1ccccc1": "9c4f43370b2f79dab32b0530bb7933ed",
+        "[NH4+]": "a55b4a82bef24b2663dfc31fd1db0f96",
+        "O=[N+]([O-])c1ccc(Cl)cc1": "9268674fb5406a149ac5d00d3ace41a7",
+    },
+}
+
+
+def test_key_version_names_the_keys_it_gives():
+    for smiles, key in KEYS_BY_VERSION[KEY_VERSION].items():
+        assert key_of(smiles) == key, smiles
 
 
 def test_spelling_invariance():

@@ -21,12 +21,21 @@ import relm.molgraph.canonical
 import relm.molgraph.parser
 import relm.prompt
 from relm.cli import main
-from relm.corpus import CssConfig, corpus_from_records, save_dataset, save_index
+from relm.corpus import (
+    CssConfig,
+    ReactionRecord,
+    corpus_from_records,
+    keys_path,
+    save_dataset,
+    save_index,
+)
 from relm.encoder import EncoderConfig, random_init, save_weights
 from relm.lmclient import BackendConfig
 from relm.loading import InputError
 from relm.molgraph import FeatureConfig, parse_smiles
 from relm.synthetic import synthetic_reactions
+
+from helpers import KEYS_FILE_DAMAGE, damage_keys_file
 
 FEATURE_CFG = FeatureConfig()
 HTTP_BACKEND = {"kind": "http", "endpoint": "http://example.invalid/v1"}
@@ -556,6 +565,7 @@ def test_zero_weights_build_an_index_but_css_exits_2(workspace, tmp_path, capsys
     code = main(["evaluate", "--config", cfg_path, "--out-dir", str(tmp_path / "reports")])
     assert code == 2
     assert capsys.readouterr().err == "error: cosine similarity undefined for a zero vector\n"
+    assert not (tmp_path / "reports").exists()  # made only for a report
 
 
 def test_bad_strategies_value_exits_2(workspace, tmp_path, capsys):
@@ -800,6 +810,39 @@ def test_a_k_past_the_letter_labels_exits_2_before_any_report(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == "error: 27 candidates exceed the letter labels\n"
     assert not reports.exists()
+
+
+@pytest.mark.parametrize("spec", ["1..99999999999999999999", "1..27"])
+def test_an_over_long_k_sweep_exits_2_before_any_evaluation(workspace, tmp_path, capsys, spec):
+    # more K values than the 26 letter labels: one would exceed the letters
+    # or repeat the candidates of a smaller K
+    ws, _, _ = workspace
+    reports = tmp_path / "reports"
+    code = main(["evaluate", "--config", str(ws / "config.json"), "--k", spec,
+                 "--out-dir", str(reports)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad --k value: K range {spec!r} has more than 26 values\n"
+    assert not reports.exists()
+    assert relm.cli._parse_k_spec("3..28") == list(range(3, 29))
+
+
+@pytest.mark.parametrize("damage", KEYS_FILE_DAMAGE)
+def test_evaluate_with_a_damaged_keys_file_writes_what_no_keys_file_gives(
+    workspace, tmp_path, damage
+):
+    ws, base, _ = workspace
+    index = tmp_path / "index.json"
+    shutil.copy(ws / "index.json", index)
+    shutil.copy(keys_path(ws / "index.json"), keys_path(index))
+    cfg_path = write_config(tmp_path / "cfg.json", base, index=str(index))
+    damage_keys_file(index, damage)
+    outputs = []
+    for out_dir in (tmp_path / "damaged", tmp_path / "none"):
+        assert main(["evaluate", "--config", cfg_path, "--out-dir", str(out_dir)]) == 0
+        outputs.append([(out_dir / name).read_bytes() for name in ("report_k4.json", "samples_k4.csv")])
+        keys_path(index).unlink(missing_ok=True)
+    assert outputs[0] == outputs[1]
 
 
 def test_unknown_subcommand_raises_system_exit(workspace):
@@ -1174,22 +1217,61 @@ def _parse_and_key_calls(monkeypatch):
 
 def test_commands_share_no_molecule_table(workspace, tmp_path, monkeypatch):
     # each command builds its own table: evaluate right after build-index in
-    # one process parses and keys exactly as much as evaluate alone
+    # one process parses and keys exactly as much as evaluate alone.  The
+    # index's keys file spares evaluate keying the index, so the check runs
+    # with that file and again without it, where evaluate keys every entry
     ws, base, _ = workspace
-    cfg_path = write_config(tmp_path / "cfg.json", base, index=str(tmp_path / "idx.json"))
+    index = tmp_path / "idx.json"
+    cfg_path = write_config(tmp_path / "cfg.json", base, index=str(index))
+    build = ["build-index", "--config", cfg_path, "--out", str(index)]
     evaluate = ["evaluate", "--config", cfg_path, "--out-dir", str(tmp_path / "reports")]
-    assert main(["build-index", "--config", cfg_path, "--out", str(tmp_path / "idx.json")]) == 0
+    assert main(build) == 0
     parses, keys = _parse_and_key_calls(monkeypatch)
-    assert main(evaluate) == 0
-    alone = (len(parses), len(keys))
-    assert alone[0] and alone[1]
-    parses.clear()
-    keys.clear()
-    assert main(["build-index", "--config", cfg_path, "--out", str(tmp_path / "idx.json")]) == 0
-    parses.clear()
-    keys.clear()
-    assert main(evaluate) == 0
-    assert (len(parses), len(keys)) == alone
+    for keys_file in (True, False):
+        if not keys_file:
+            keys_path(index).unlink()
+        parses.clear()
+        keys.clear()
+        assert main(evaluate) == 0
+        alone = (len(parses), len(keys))
+        # every product of this workspace is an entry's: keyed only without the file
+        assert alone[0] and (alone[1] == 0 if keys_file else alone[1] > 0)
+        assert main(build) == 0
+        if not keys_file:
+            keys_path(index).unlink()
+        parses.clear()
+        keys.clear()
+        assert main(evaluate) == 0
+        assert (len(parses), len(keys)) == alone
+
+
+def test_evaluate_after_build_index_keys_only_products_no_entry_holds(tmp_path, monkeypatch):
+    # two records each spell an entry's products another way: the index
+    # keeps one spelling, and evaluate keys the other spelling alone
+    train = synthetic_reactions(16, seed=40) + [
+        ReactionRecord(id="same-0", reactants=("CC",), products=("CCO",)),
+        ReactionRecord(id="same-1", reactants=("CC",), products=("OCC",)),
+        ReactionRecord(id="same-2", reactants=("CCN",), products=("CC=O", "O")),
+        ReactionRecord(id="same-3", reactants=("CCN",), products=("O.CC=O",)),
+    ]
+    weights = random_init(
+        EncoderConfig(feature_dim=FEATURE_CFG.feature_dim, embed_dim=8), seed=1
+    )
+    save_dataset(train, tmp_path / "train.jsonl")
+    save_weights(weights, tmp_path / "w.json")
+    index = tmp_path / "index.json"
+    cfg_path = write_config(tmp_path / "cfg.json", {
+        "weights": str(tmp_path / "w.json"), "index": str(index),
+        "dataset": str(tmp_path / "train.jsonl"), "backend": {"kind": "oracle"},
+        "strategy": "css", "k": 4, "n": 3,
+    })
+    assert main(["build-index", "--config", cfg_path, "--out", str(index)]) == 0
+    entry_strings = {s for e in json.loads(index.read_text())["entries"] for s in e["products"]}
+    others = {s for r in train for s in r.products} - entry_strings
+    assert others == {"OCC", "O.CC=O"}
+    keys = count_calls(monkeypatch, relm.molgraph.canonical.canonical_key)
+    assert main(["evaluate", "--config", cfg_path, "--out-dir", str(tmp_path / "reports")]) == 0
+    assert len(keys) == sum(len(parse_smiles(s)) for s in others)
 
 
 def test_train_toy_keys_nothing_before_its_first_epoch(workspace, tmp_path, monkeypatch):

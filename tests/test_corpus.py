@@ -1,8 +1,12 @@
 """Dataset IO, the product index, and nearest-neighbor retrieval."""
 
+import hashlib
 import json
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from relm.corpus import (
     check_fingerprint,
     corpus_from_records,
     cosine,
+    keys_path,
     load_dataset,
     load_index,
     molecules_key,
@@ -39,10 +44,10 @@ from relm.corpus import (
 )
 from relm.encoder import Embedding, EncoderConfig, GnnWeights, embed_set, random_init
 from relm.molecules import MoleculeTable, embed_sides
-from relm.molgraph import FeatureConfig, SmilesError, parse_smiles
+from relm.molgraph import KEY_VERSION, FeatureConfig, SmilesError, parse_smiles
 from relm.synthetic import synthetic_reactions
 
-from helpers import reference_distance
+from helpers import KEYS_FILE_DAMAGE, damage_keys_file, reference_distance
 
 FEATURE_CFG = FeatureConfig()
 
@@ -410,7 +415,7 @@ def test_index_round_trip(tmp_path):
     for got, want in zip(loaded.entries, corpus.entries):
         assert got.entry_id == want.entry_id
         assert got.products == want.products
-        assert got.keys == want.keys  # recomputed from products at load
+        assert got.keys == want.keys  # from the index's keys file
         assert np.array_equal(got.embedding.values, want.embedding.values)
     check_fingerprint(loaded, weights)
 
@@ -456,6 +461,98 @@ def test_load_index_rejects_malformed_files(tmp_path):
     path.write_text(json.dumps(payload).replace(str(entry["embedding"][0]), "1e400", 1))
     with pytest.raises(DatasetError, match="entry 0: embedding must be finite"):
         load_index(path)
+
+
+# ---- the index's keys file ----
+
+
+def saved_index(directory, records):
+    path = directory / "index.json"
+    save_index(corpus_from_records(records, make_weights(seed=5), FEATURE_CFG), path)
+    return path
+
+
+def count_keying(monkeypatch):
+    calls = []
+    real = molecules_module.canonical_key
+    monkeypatch.setattr(molecules_module, "canonical_key", lambda g: calls.append(1) or real(g))
+    return calls
+
+
+def test_keys_file_holds_each_product_strings_keys_for_the_index_bytes(tmp_path):
+    path = saved_index(tmp_path, synthetic_reactions(12, seed=6) + hand_made_records())
+    stored = json.loads(keys_path(path).read_text())
+    assert keys_path(path) == tmp_path / "index.keys.json"
+    assert stored["key_version"] == KEY_VERSION
+    assert stored["index_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    strings = {s for e in json.loads(path.read_text())["entries"] for s in e["products"]}
+    assert stored["keys"] == {s: list(molecules_key(parse_smiles(s))) for s in strings}
+
+
+def test_save_index_keys_nothing_the_build_keyed(tmp_path, monkeypatch):
+    corpus = corpus_from_records(synthetic_reactions(12, seed=6), make_weights(), FEATURE_CFG)
+    keyed = count_keying(monkeypatch)
+    save_index(corpus, tmp_path / "index.json")
+    assert keyed == []
+
+
+def test_an_intact_keys_file_is_read_not_recomputed(tmp_path, monkeypatch):
+    # made-up keys with the right digest and version are what load_index returns
+    path = saved_index(tmp_path, synthetic_reactions(12, seed=6) + hand_made_records())
+    stored = json.loads(keys_path(path).read_text())
+    made_up = "0" * 32
+    stored["keys"] = {s: [made_up] for s in stored["keys"]}
+    keys_path(path).write_text(json.dumps(stored))
+    keyed = count_keying(monkeypatch)
+    loaded = load_index(path)
+    assert keyed == []
+    for entry in loaded.entries:
+        assert entry.keys == (made_up,) * len(entry.products)
+
+
+@pytest.mark.parametrize("damage", KEYS_FILE_DAMAGE)
+def test_a_damaged_keys_file_gives_the_keys_of_no_keys_file(tmp_path, monkeypatch, damage):
+    path = saved_index(tmp_path, synthetic_reactions(20, seed=7) + hand_made_records())
+    first = next(iter(json.loads(keys_path(path).read_text())["keys"]))
+    damage_keys_file(path, damage)
+    keyed = count_keying(monkeypatch)
+    damaged = load_index(path)
+    damaged_keyed = len(keyed)
+    keys_path(path).unlink(missing_ok=True)
+    keyed.clear()
+    plain = load_index(path)
+    assert [e.keys for e in damaged.entries] == [e.keys for e in plain.entries]
+    for entry in plain.entries:
+        assert entry.keys == molecules_key(parse_side(entry.products))
+    # a usable file that lacks one string keys that string alone
+    assert damaged_keyed == (len(parse_smiles(first)) if damage == "string-missing" else len(keyed))
+
+
+def test_an_intact_keys_file_still_parses_every_product(tmp_path):
+    path = saved_index(tmp_path, [ReactionRecord(id="a", reactants=("CC",), products=("CCO",))])
+    payload = json.loads(path.read_text())
+    payload["entries"][0]["products"] = ["C(("]
+    path.write_text(json.dumps(payload))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    stored = {"key_version": KEY_VERSION, "index_sha256": digest, "keys": {"C((": ["0" * 32]}}
+    keys_path(path).write_text(json.dumps(stored))
+    table = MoleculeTable()
+    with pytest.raises(DatasetError, match="entry 0: unparseable product SMILES"):
+        load_index(path, table)
+    with pytest.raises(SmilesError):  # the failed string was not remembered as parsing
+        table.check(["C(("])
+
+
+@settings(max_examples=20, deadline=None)
+@given(size=st.integers(1, 30), seed=st.integers(0, 2**16 - 1), hand_made=st.booleans())
+def test_keys_from_the_keys_file_equal_keys_from_parsing(size, seed, hand_made):
+    records = synthetic_reactions(size, seed=seed) + (hand_made_records() if hand_made else [])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = saved_index(Path(tmp), records)
+        with mock.patch.object(molecules_module, "canonical_key", side_effect=AssertionError):
+            loaded = load_index(path)  # every key from the file
+    for entry in loaded.entries:
+        assert entry.keys == molecules_key(parse_side(entry.products))
 
 
 # ---- the molecule table ----

@@ -7,13 +7,15 @@ config, fanned out by labeled sub-streams, so toggling one feature does
 not shift another's draws.  Exit codes: 0 success; 2 an ``InputError``,
 the fault of an input file or setting (among them encoder weights that
 embed a training record to the zero vector, which CSS cannot rank
-examples by); 1 a backend failure or an internal error.
+examples by); 1 a backend failure, an internal error, or a stdout whose
+reader has gone (``relm evaluate ... | head -1``), which ends quietly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import string
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -25,7 +27,6 @@ from .corpus import (
     DatasetError,
     ProductCorpus,
     ReactionRecord,
-    RetrievalState,
     corpus_from_records,
     load_dataset,
     load_index,
@@ -44,12 +45,11 @@ from .encoder import (
 )
 from .loading import InputError, convert, make_dir, read_json, text_builder, write_file
 from .evaluation import (
-    EvalReport,
-    StrategyRow,
     build_report,
     check_ground_truth,
-    check_prompt,
+    compare_strategies,
     hit_at_k,
+    prompt_pipelines,
     write_outcomes_csv,
     write_report_json,
     write_strategy_csv,
@@ -185,8 +185,7 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 @dataclass(frozen=True)
 class _Inputs:
-    """The files one command reads: weights, index, datasets, IUPAC table,
-    templates; and the command's molecule table, which read them."""
+    """The files one command reads: weights, index, datasets, IUPAC table, templates."""
 
     weights: GnnWeights
     corpus: ProductCorpus
@@ -194,7 +193,6 @@ class _Inputs:
     records: list[ReactionRecord]
     iupac_table: dict[str, str] | None
     templates: TemplateSet | None
-    molecules: MoleculeTable
 
     @classmethod
     def load(cls, cfg: RunConfig, eval_dataset: str | None = None) -> _Inputs:
@@ -208,46 +206,16 @@ class _Inputs:
         table = cfg.iupac and read_json(cfg.iupac, ConfigError)
         iupac_table = convert(table, dict[str, str] | None, f"{cfg.iupac}: iupac", ConfigError)
         templates = TemplateSet.load(cfg.templates) if cfg.templates else None
-        return cls(weights, corpus, train, records, iupac_table, templates, molecules)
+        return cls(weights, corpus, train, records, iupac_table, templates)
 
-    def pipelines(self, cfg: RunConfig, prompts: Sequence[PromptConfig]) -> Iterator[Pipeline]:
-        """One pipeline per prompt config, all on one retrieval state."""
-        state = RetrievalState(
-            self.corpus, self.train, self.weights, FeatureConfig(), self.molecules
+    def pipelines(
+        self, cfg: RunConfig, prompts: Sequence[PromptConfig], queries: Sequence[ReactionRecord]
+    ) -> list[Pipeline]:
+        """``prompt_pipelines`` on these inputs and the run's settings."""
+        return prompt_pipelines(
+            queries, self.train, self.corpus, self.weights, FeatureConfig(), prompts,
+            cfg.backend, iupac_table=self.iupac_table, templates=self.templates, seed=cfg.seed,
         )
-        for prompt in prompts:
-            yield Pipeline(
-                self.corpus,
-                self.train,
-                self.weights,
-                state.feature_cfg,
-                prompt,
-                cfg.backend,
-                iupac_table=self.iupac_table,
-                templates=self.templates,
-                seed=cfg.seed,
-                state=state,
-            )
-
-    def reports(self, cfg: RunConfig, prompts: Sequence[PromptConfig]) -> Iterator[EvalReport]:
-        """Run and score the evaluation set once per prompt config.
-
-        The ground truth and every config are checked on the call, before
-        any query runs; each report is made as the iterator reaches it.
-        """
-        check_ground_truth(self.records, self.corpus)
-        for prompt in prompts:
-            check_prompt(prompt, self.corpus, self.train, self.records)
-
-        def run() -> Iterator[EvalReport]:
-            for prompt, pipeline in zip(prompts, self.pipelines(cfg, prompts)):
-                results = run_dataset(pipeline, self.records, cfg.max_concurrency)
-                config = {"strategy": prompt.strategy.label, "k": prompt.k, "n": prompt.n,
-                          "seed": cfg.seed, "backend": cfg.backend.kind.value}
-                yield build_report(results, self.records, self.corpus, self.weights,
-                                   pipeline.feature_cfg, prompt.k, config=config)
-
-        return run()
 
 
 # ---- commands ----
@@ -273,9 +241,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, _overrides(args))
     record = load_record(args.reaction)  # before the pipeline embeds the training set
     inputs = _Inputs.load(cfg)
-    prompt_cfg = cfg.prompt_config()
-    check_prompt(prompt_cfg, inputs.corpus, inputs.train, [record])
-    (pipeline,) = inputs.pipelines(cfg, [prompt_cfg])
+    (pipeline,) = inputs.pipelines(cfg, [cfg.prompt_config()], [record])
     if args.dry_run:
         prompt = pipeline.render_prompt(record)
         print(prompt.text)
@@ -335,10 +301,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ks = _parse_k_spec(args.k) if args.k else [cfg.prompt.k]
     except ValueError as exc:
         raise ConfigError(f"bad --k value: {exc}")
+    check_ground_truth(inputs.records, inputs.corpus)
     base = cfg.prompt_config()
-    reports = inputs.reports(cfg, [replace(base, k=k) for k in ks])
+    prompts = [replace(base, k=k) for k in ks]
     out_dir = Path(args.out_dir)
-    for k, report in zip(ks, reports):
+    for k, pipeline in zip(ks, inputs.pipelines(cfg, prompts, inputs.records)):
+        results = run_dataset(pipeline, inputs.records, cfg.max_concurrency)
+        config = {"strategy": base.strategy.label, "k": k, "n": base.n,
+                  "seed": cfg.seed, "backend": cfg.backend.kind.value}
+        report = build_report(results, inputs.records, inputs.corpus, inputs.weights,
+                              pipeline.feature_cfg, k, config=config)
         make_dir(out_dir, ConfigError)  # once a report is ready: a failed run leaves none
         write_report_json(report, out_dir / f"report_k{k}.json")
         write_outcomes_csv(report.outcomes, out_dir / f"samples_k{k}.csv")
@@ -361,12 +333,12 @@ def cmd_compare_strategies(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --strategies value: {exc}")
     if not strategies:
         raise ConfigError("no strategies given")
-    base = cfg.prompt_config()
-    prompts = [replace(base, strategy=strategy) for strategy in strategies]
-    rows = [
-        StrategyRow.from_report(prompt.strategy.label, report)
-        for prompt, report in zip(prompts, inputs.reports(cfg, prompts))
-    ]
+    rows = compare_strategies(
+        inputs.records, inputs.train, inputs.corpus, inputs.weights, FeatureConfig(),
+        cfg.prompt_config(), cfg.backend, strategies, seed=cfg.seed,
+        max_concurrency=cfg.max_concurrency, iupac_table=inputs.iupac_table,
+        templates=inputs.templates,
+    )
     write_strategy_csv(rows, args.out)
     for row in rows:
         print(
@@ -506,7 +478,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout:  # None when the process starts with stdout closed
+            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # backends and file writers raise their own errors
+        # stdout's reader left (`| head -1`): what is still buffered goes to
+        # the null device, so the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,15 +18,15 @@ refine step then computes the Euclidean distance from each kept entry's
 difference to the row and orders the kept entries by (distance, entry id
 in Python string order) with ``np.lexsort``, so every tie at the k-th
 distance competes: the same ids and distances as ranking the whole
-corpus, for each row alone.  A ``RetrievalState`` holds what one command
-computes once: the training set's ``TrainingEmbeddings`` and one
-candidate cache per k.  Example selection ranks the training set lazily
-(``ExampleRanking``): it orders the most similar rows first and the rest
-only when the context walk reads past them, and the walk scans its next
-records a block at a time.  In-context examples pair a training reaction
-with its own candidate list; the confidence perturbation rewrites exactly
-``num_perturbed`` of them to show a wrong answer with low confidence
-while the rest keep the true answer with high confidence.
+corpus, for each row alone.  A ``RetrievalState`` holds what the pipelines
+of one command compute once: the training set's ``TrainingEmbeddings`` and
+one candidate cache per k.  Example selection ranks the training set
+lazily (``ExampleRanking``): it orders the most similar rows first and the
+rest only when the context walk reads past them, and the walk scans its
+next records a block at a time.  In-context examples pair a training
+reaction with its own candidate list; the confidence perturbation rewrites
+exactly ``num_perturbed`` of them to show a wrong answer with low
+confidence while the rest keep the true answer with high confidence.
 """
 
 from __future__ import annotations
@@ -695,27 +695,26 @@ class RetrievalState:
 
     The training set's embeddings are made on the first call of
     ``embeddings()``, so a command whose strategies show no examples never
-    makes them.  The same call keys the training products in the command's
-    molecule table, as the context walk reads an example's product key for
-    each record it examines.  Each k has one cache of training records'
-    candidate lists.  Both hold pure values, so pipelines and threads share
-    them without a lock.
+    makes them.  The same call keys the training products in the corpus's
+    molecule table (the command's), as the context walk reads an example's
+    product key for each record it examines.  Each k has one cache of
+    training records' candidate lists.  Both hold pure values, so
+    pipelines and threads share them without a lock.
     """
 
     corpus: ProductCorpus
     train: Sequence[ReactionRecord]
     weights: GnnWeights
     feature_cfg: FeatureConfig
-    molecules: MoleculeTable | None = field(default=None, repr=False)
     _embeddings: TrainingEmbeddings | None = field(default=None, repr=False)
     _candidates: dict[int, dict[int, CandidateList]] = field(default_factory=dict, repr=False)
 
     def embeddings(self) -> TrainingEmbeddings:
         if self._embeddings is None:
             self._embeddings = TrainingEmbeddings.embed(self.train, self.weights, self.feature_cfg)
-            if self.molecules is not None:
+            if self.corpus.molecules is not None:
                 for record in self.train:
-                    self.molecules.set_key(record.products)
+                    self.corpus.molecules.set_key(record.products)
         return self._embeddings
 
     def candidate_cache(self, k: int) -> dict[int, CandidateList]:

@@ -416,7 +416,28 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
     write_file(path, json.dumps(data, indent=2, sort_keys=True) + "\n", ReportError)
 
 
-# ---- strategy comparison ----
+# ---- prompt grids ----
+
+
+def prompt_pipelines(
+    queries: Sequence[ReactionRecord], train: Sequence[ReactionRecord], corpus: ProductCorpus,
+    weights: GnnWeights, feature_cfg: FeatureConfig, prompts: Sequence[PromptConfig],
+    backend_cfg: BackendConfig, *, iupac_table: dict[str, str] | None,
+    templates: TemplateSet | None, seed: int,
+) -> list[Pipeline]:
+    """One pipeline per prompt config, each with its own backend, all on
+    one retrieval state; every config is checked against the queries
+    before any pipeline is made or any query runs."""
+    for prompt in prompts:
+        check_prompt(prompt, corpus, train, queries)
+    state = RetrievalState(corpus, train, weights, feature_cfg)
+    return [
+        Pipeline(
+            corpus, train, weights, feature_cfg, prompt, backend_cfg,
+            iupac_table=iupac_table, templates=templates, seed=seed, state=state,
+        )
+        for prompt in prompts
+    ]
 
 
 @dataclass(frozen=True)
@@ -425,14 +446,6 @@ class StrategyRow:
     accuracy: float
     mean_tokens: float
     mean_time_s: float
-
-    @classmethod
-    def from_report(cls, strategy: str, report: EvalReport) -> StrategyRow:
-        """The row of a strategy's report: its accuracy, mean tokens and
-        mean latency in seconds."""
-        return cls(
-            strategy, report.accuracy, report.mean_tokens, report.mean_latency_ms / 1000.0
-        )
 
 
 def compare_strategies(
@@ -454,27 +467,24 @@ def compare_strategies(
     Each row is read off the strategy's ``build_report``, so it equals
     what ``evaluate`` reports for that strategy; the ground truth and
     every strategy's prompt config are checked before any query runs.
-    Each row gets a fresh pipeline (and thus fresh mock state), rendering
-    with the given IUPAC table and templates, so rows cannot contaminate
-    each other; MES rows report the full multi-run token total per sample.  The rows share one retrieval
-    state, so the training set is embedded at most once.
+    Each row gets a fresh pipeline from ``prompt_pipelines`` (and thus
+    fresh mock state), rendering with the given IUPAC table and templates,
+    so rows cannot contaminate each other; MES rows report the full
+    multi-run token total per sample.
     """
     if not records:
         raise ValueError("strategy comparison needs at least one record")
     check_ground_truth(records, corpus)
     prompts = [replace(prompt_cfg, strategy=strategy) for strategy in strategies]
-    for cfg in prompts:
-        check_prompt(cfg, corpus, train, records)
-    state = RetrievalState(corpus, train, weights, feature_cfg)
     rows = []
-    for cfg in prompts:
-        pipeline = Pipeline(
-            corpus, train, weights, feature_cfg, cfg, backend_cfg,
-            iupac_table=iupac_table, templates=templates, seed=seed, state=state,
-        )
+    for pipeline in prompt_pipelines(
+        records, train, corpus, weights, feature_cfg, prompts, backend_cfg,
+        iupac_table=iupac_table, templates=templates, seed=seed,
+    ):
         results = run_dataset(pipeline, records, max_concurrency=max_concurrency)
         report = build_report(results, records, corpus, weights, feature_cfg, prompt_cfg.k)
-        rows.append(StrategyRow.from_report(cfg.strategy.label, report))
+        rows.append(StrategyRow(pipeline.prompt_cfg.strategy.label, report.accuracy,
+                                report.mean_tokens, report.mean_latency_ms / 1000.0))
     return rows
 
 

@@ -4,8 +4,10 @@ import dataclasses
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -233,6 +235,38 @@ def test_inspect_prompt_prints_the_predict_dry_run(workspace, capsys):
 
 
 # ---- exit codes ----
+
+
+@pytest.mark.parametrize("stdout,code", [("buffered", 1), ("unbuffered", 1), ("absent", 0)])
+@pytest.mark.parametrize(
+    "command",
+    [["predict", "--reaction", "query.json"], ["evaluate", "--out-dir", "reports"]],
+    ids=["predict", "evaluate"],
+)
+def test_closed_stdout_ends_quietly(workspace, tmp_path, command, stdout, code):
+    # `relm evaluate ... | head -1`: the reader is gone before the command
+    # writes, so its first write or its last flush meets a broken pipe and
+    # it exits 1.  A process started with stdout closed has no stdout at all:
+    # its prints go nowhere and it exits 0
+    ws, _, _ = workspace
+    name, *flags = command
+    flags[-1] = str((ws if name == "predict" else tmp_path) / flags[-1])
+    env = {**os.environ, "PYTHONPATH": str(Path(relm.cli.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if stdout == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "relm.cli", name, "--config", str(ws / "config.json"), *flags],
+            stdout=None if stdout == "absent" else write_end,
+            preexec_fn=(lambda: os.close(1)) if stdout == "absent" else None,
+            stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, "")
 
 
 def test_missing_config_file_exits_2(workspace, tmp_path, capsys):
@@ -915,15 +949,17 @@ def test_queries_run_serially_by_default(workspace, tmp_path, monkeypatch, comma
     # max_concurrency runs one query at a time
     ws, base, _ = workspace
     assert "max_concurrency" not in base
-    real = relm.cli.run_dataset
+    name, *flags = command
+    # compare-strategies runs its queries through the library's loop
+    module = relm.evaluation if name == "compare-strategies" else relm.cli
+    real = module.run_dataset
     calls = []
 
     def counting(pipeline, records, max_concurrency):
         calls.append(max_concurrency)
         return real(pipeline, records, max_concurrency)
 
-    monkeypatch.setattr(relm.cli, "run_dataset", counting)
-    name, *flags = command
+    monkeypatch.setattr(module, "run_dataset", counting)
     flags[-1] = str(tmp_path / flags[-1])
     assert main([name, "--config", str(ws / "config.json"), *flags]) == 0
     assert calls == [1, 1]
@@ -956,9 +992,12 @@ def test_compare_strategies_cli(workspace, tmp_path, capsys):
     assert "plain: acc=" in stdout
 
 
+@pytest.mark.parametrize("strategy", ["plain", "css", "mes:css:3", "fine_grained_css"])
 def test_compare_strategies_uses_config_templates_and_iupac(
-    workspace, tmp_path, capsys
+    workspace, tmp_path, capsys, strategy
 ):
+    # each kind of row (examples, confidences, multi-run votes, per-candidate
+    # scores) equals the report evaluate writes for that strategy
     ws, base, train = workspace
     templates = tmp_path / "templates"
     shutil.copytree(Path(relm.prompt.__file__).parent / "templates", templates)
@@ -971,7 +1010,7 @@ def test_compare_strategies_uses_config_templates_and_iupac(
     cfg_path = write_config(
         tmp_path / "cfg.json",
         base,
-        strategy="plain",
+        strategy=strategy,
         templates=str(templates),
         iupac=str(tmp_path / "iupac.json"),
         molecule_rendering="smiles_plus_iupac",
@@ -982,7 +1021,7 @@ def test_compare_strategies_uses_config_templates_and_iupac(
     report = json.loads((tmp_path / "reports" / "report_k4.json").read_text())
     out = tmp_path / "rows.csv"
     assert main(
-        ["compare-strategies", "--config", cfg_path, "--strategies", "plain",
+        ["compare-strategies", "--config", cfg_path, "--strategies", strategy,
          "--out", str(out)]
     ) == 0
     row = out.read_text().splitlines()[1].split(",")

@@ -8,7 +8,8 @@ not shift another's draws.  Exit codes: 0 success; 2 an ``InputError``,
 the fault of an input file or setting (among them encoder weights that
 embed a training record to the zero vector, which CSS cannot rank
 examples by); 1 a backend failure, an internal error, or a stdout whose
-reader has gone (``relm evaluate ... | head -1``), which ends quietly.
+reader has gone (``relm evaluate ... | head -1``) or that was closed when
+the process started, which ends quietly.
 """
 
 from __future__ import annotations
@@ -195,14 +196,28 @@ class _Inputs:
     templates: TemplateSet | None
 
     @classmethod
-    def load(cls, cfg: RunConfig, eval_dataset: str | None = None) -> _Inputs:
-        """Read the files; the evaluation set defaults to the training set."""
+    def load(
+        cls, cfg: RunConfig, eval_dataset: str | None = None, *, examples: bool, scored: bool
+    ) -> _Inputs:
+        """Read the files; the evaluation set defaults to the training set.
+
+        One molecule table reads them all, and the check of each string
+        does the work the command asks of it later: it keys the product
+        strings whose keys are read (the evaluation set's when it is
+        scored, the training set's when examples are shown) and, when
+        examples are shown, makes the training reactants' rows."""
         _require(cfg, "weights", "index", "dataset")
         weights = load_weights(cfg.weights)
         corpus = load_index(cfg.index)
         molecules = corpus.molecules  # the table that keyed the index reads the datasets
-        train = load_dataset(cfg.dataset, molecules)
-        records = load_dataset(eval_dataset, molecules) if eval_dataset else train
+        molecules.use_encoder(weights, FeatureConfig())
+        train = load_dataset(
+            cfg.dataset, molecules, key_products=examples or (scored and not eval_dataset),
+            embed="reactants" if examples else None,
+        )
+        records = (
+            load_dataset(eval_dataset, molecules, key_products=scored) if eval_dataset else train
+        )
         table = cfg.iupac and read_json(cfg.iupac, ConfigError)
         iupac_table = convert(table, dict[str, str] | None, f"{cfg.iupac}: iupac", ConfigError)
         templates = TemplateSet.load(cfg.templates) if cfg.templates else None
@@ -225,8 +240,12 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, _overrides(args), skip_exists=("index",))
     _require(cfg, "weights", "dataset")
     weights = load_weights(cfg.weights)
-    molecules = MoleculeTable()
-    records = load_dataset(cfg.dataset, molecules)
+    # the check of each product string also keys and embeds it for the index;
+    # a string that only a duplicate set holds is embedded too, as its set's
+    # key is known only after the parse, and the rows would otherwise need a
+    # second parse when a later set that makes an entry holds the string
+    molecules = MoleculeTable(weights, FeatureConfig())
+    records = load_dataset(cfg.dataset, molecules, key_products=True, embed="products")
     corpus = corpus_from_records(records, weights, FeatureConfig(), molecules)
     save_index(corpus, args.out)
     print(
@@ -240,7 +259,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     """predict; inspect-prompt is its dry run plus a summary on stderr."""
     cfg = load_run_config(args.config, _overrides(args))
     record = load_record(args.reaction)  # before the pipeline embeds the training set
-    inputs = _Inputs.load(cfg)
+    inputs = _Inputs.load(cfg, examples=cfg.prompt.strategy.shows_examples, scored=False)
     (pipeline,) = inputs.pipelines(cfg, [cfg.prompt_config()], [record])
     if args.dry_run:
         prompt = pipeline.render_prompt(record)
@@ -296,7 +315,9 @@ def _parse_k_spec(spec: str) -> list[int]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     # --k may be a sweep spec like "2..7"; it never overrides config k
     cfg = load_run_config(args.config, {**_overrides(args), "k": None})
-    inputs = _Inputs.load(cfg, args.eval_dataset)
+    inputs = _Inputs.load(
+        cfg, args.eval_dataset, examples=cfg.prompt.strategy.shows_examples, scored=True
+    )
     try:
         ks = _parse_k_spec(args.k) if args.k else [cfg.prompt.k]
     except ValueError as exc:
@@ -324,7 +345,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_compare_strategies(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, _overrides(args))
-    inputs = _Inputs.load(cfg, args.eval_dataset)
     try:
         strategies = [
             Strategy.parse(s) for s in args.strategies.split(",") if s.strip()
@@ -333,6 +353,8 @@ def cmd_compare_strategies(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --strategies value: {exc}")
     if not strategies:
         raise ConfigError("no strategies given")
+    examples = any(strategy.shows_examples for strategy in strategies)
+    inputs = _Inputs.load(cfg, args.eval_dataset, examples=examples, scored=True)
     rows = compare_strategies(
         inputs.records, inputs.train, inputs.corpus, inputs.weights, FeatureConfig(),
         cfg.prompt_config(), cfg.backend, strategies, seed=cfg.seed,
@@ -479,8 +501,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-        if sys.stdout:  # None when the process starts with stdout closed
-            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        if sys.stdout is None:  # started with stdout closed: what it printed is lost
+            return 1
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:  # backends and file writers raise their own errors
         # stdout's reader left (`| head -1`): what is still buffered goes to

@@ -1,15 +1,20 @@
 """Reaction datasets, the product corpus, retrieval and context assembly.
 
 Every reader of a command's inputs (``load_dataset``, ``load_index``,
-``build_index`` and ``ReactionRecord.product_key``) works through that
-command's ``MoleculeTable``, so each distinct SMILES string is checked and
-keyed at most once per command; ``TrainingEmbeddings`` embeds each
-distinct reactant string once.  Keys also outlive the command that made
-them: ``save_index`` writes the build's keys beside the index
-(``<stem>.keys.json``, with ``KEY_VERSION`` and the SHA-256 of the index
-bytes), and ``load_index`` hands them to the reading command's table when
-both still match, so that command parses the index's products but keys
-none of them again.  The corpus holds every known product set with a precomputed embedding.
+``build_index``, ``TrainingEmbeddings`` and ``ReactionRecord.product_key``)
+works through that command's ``MoleculeTable``.  ``load_dataset`` parses
+each distinct SMILES string of its file once, after it has read every
+record's fields, and the command says what that parse does besides the
+check: key the product strings, and make the rows of the side it will
+embed.  So ``build_index`` and ``TrainingEmbeddings`` sum stored rows and
+parse nothing, and no parsed graph outlives its chunk.  Keys also outlive
+the command that made them: ``save_index`` writes the build's keys beside
+the index (``<stem>.keys.json``, with ``KEY_VERSION`` and the SHA-256 of
+the index bytes), and ``load_index`` hands them to the reading command's
+table when both still match, so that command parses the index's products
+but keys none of them again.
+
+The corpus holds every known product set with a precomputed embedding.
 Retrieval is exact flat search in one kernel, ``top_k_block``, over a
 block of query rows.  A filter scores every entry for every row by the
 expansion ``|m|^2 - 2 m.v`` (one matrix product) and keeps each entry
@@ -38,7 +43,7 @@ import logging
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,7 +60,7 @@ from .loading import (
 )
 from .molgraph import KEY_VERSION, FeatureConfig, MolecularGraph, SmilesError, parse_smiles
 from .molgraph.canonical import canonical_key
-from .molecules import EMBED_CHUNK, MoleculeTable, embed_parsed, embed_sides
+from .molecules import EMBED_CHUNK, MoleculeTable
 
 logger = logging.getLogger(__name__)
 
@@ -142,14 +147,9 @@ def molecules_key(graphs: Sequence[MolecularGraph]) -> tuple[str, ...]:
 
 
 def _record_from_dict(
-    data: dict,
-    where: str,
-    molecules: MoleculeTable,
-    checked: set[str],
-    require_products: bool = True,
+    data: dict, where: str, molecules: MoleculeTable, require_products: bool = True
 ) -> ReactionRecord:
-    """One record, its SMILES checked through the table unless in checked
-    (the strings its file has already shown to parse)."""
+    """One record, its fields checked but not yet its SMILES."""
     data = convert(data, dict, f"{where}: record", DatasetError)
     values = convert_fields(data, ReactionRecord, f"{where}: ", DatasetError)
     if "id" not in data:
@@ -161,15 +161,44 @@ def _record_from_dict(
     )
     if require_products and not record.products:
         raise DatasetError(f"{where}: record {record.id!r} has no products")
-    new = [s for s in (*record.reactants, *record.products) if s not in checked]
-    try:
-        molecules.check(new)
-    except SmilesError as exc:
-        raise DatasetError(
-            f"{where}: record {record.id!r} has unparseable SMILES: {exc}"
-        ) from exc
-    checked.update(new)
     return record
+
+
+_KEY, _EMBED = 1, 2  # the work a string's parse does beyond the check
+
+
+def _read_molecules(
+    records: Sequence[ReactionRecord],
+    where: Callable[[int], str],
+    molecules: MoleculeTable,
+    key_products: bool = False,
+    embed: str | None = None,
+) -> None:
+    """Parse each distinct string of records once, in file order, through
+    the table, and raise for the first that does not parse, at where(its
+    record's position).  That parse also keys the string when it is a
+    product and key_products, and makes its rows with the table's weights
+    when it is on the side embed names ("reactants" or "products"); the
+    graphs are then dropped."""
+    reactant_work = _EMBED if embed == "reactants" else 0
+    product_work = (_KEY if key_products else 0) | (_EMBED if embed == "products" else 0)
+    work: dict[str, int] = {}
+    for record in records:
+        for smiles in record.reactants:
+            work[smiles] = work.get(smiles, 0) | reactant_work
+        for smiles in record.products:
+            work[smiles] = work.get(smiles, 0) | product_work
+    for position, record in enumerate(records):
+        try:
+            for smiles in (*record.reactants, *record.products):
+                flags = work.pop(smiles, None)  # None: read already
+                if flags is not None:
+                    molecules.read(smiles, key=bool(flags & _KEY), embed=bool(flags & _EMBED))
+        except SmilesError as exc:
+            raise DatasetError(
+                f"{where(position)}: record {record.id!r} has unparseable SMILES: {exc}"
+            ) from exc
+    molecules.flush()
 
 
 def load_record(path: str | Path, require_products: bool = False) -> ReactionRecord:
@@ -177,33 +206,63 @@ def load_record(path: str | Path, require_products: bool = False) -> ReactionRec
 
     Products are optional here: a pure prediction query has none yet.
     """
-    return _record_from_dict(
-        read_json(path, DatasetError), str(path), MoleculeTable(), set(), require_products
+    record = _record_from_dict(
+        read_json(path, DatasetError), str(path), MoleculeTable(), require_products
     )
+    _read_molecules([record], lambda _: str(path), record.molecules)
+    return record
 
 
-def load_dataset(path: str | Path, molecules: MoleculeTable | None = None) -> list[ReactionRecord]:
+def load_dataset(
+    path: str | Path,
+    molecules: MoleculeTable | None = None,
+    *,
+    key_products: bool = False,
+    embed: str | None = None,
+) -> list[ReactionRecord]:
     """Read a JSONL reaction dataset, validating every record through the
-    command's molecule table (a new one when none is given); each distinct
-    string of the file is parsed once."""
+    command's molecule table (a new one when none is given).
+
+    Each distinct string of the file is parsed once, after every record's
+    fields are read, so that one parse does all the work the command will
+    ask of the string: its keys when it is a product and key_products, its
+    rows when it is on the side embed names.  A SMILES error still comes
+    before any error of a later line, as when each line was checked in turn.
+    """
     molecules = molecules or MoleculeTable()
+    records, linenos, failure = _read_records(path, molecules)
+    _read_molecules(records, lambda i: f"{path}:{linenos[i]}", molecules, key_products, embed)
+    if failure is not None:
+        raise failure
+    if not records:
+        raise DatasetError(f"{path}: dataset is empty")
+    return records
+
+
+def _read_records(
+    path: str | Path, molecules: MoleculeTable
+) -> tuple[list[ReactionRecord], list[int], DatasetError | None]:
+    """The records of a JSONL file with their line numbers, up to the first
+    line that fails; that line's error is returned, after the records, for
+    its SMILES errors to come first.  A duplicated id's record is included,
+    as its SMILES were checked before its id."""
     records: list[ReactionRecord] = []
+    linenos: list[int] = []
     seen_ids: set[str] = set()
-    checked: set[str] = set()
     for lineno, line in enumerate(read_file(path, DatasetError).splitlines(), start=1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
-        record = _record_from_dict(
-            decode_json(line, where, DatasetError), where, molecules, checked
-        )
-        if record.id in seen_ids:
-            raise DatasetError(f"{where}: duplicate record id {record.id!r}")
-        seen_ids.add(record.id)
+        try:
+            record = _record_from_dict(decode_json(line, where, DatasetError), where, molecules)
+        except DatasetError as exc:
+            return records, linenos, exc
         records.append(record)
-    if not records:
-        raise DatasetError(f"{path}: dataset is empty")
-    return records
+        linenos.append(lineno)
+        if record.id in seen_ids:
+            return records, linenos, DatasetError(f"{where}: duplicate record id {record.id!r}")
+        seen_ids.add(record.id)
+    return records, linenos, None
 
 
 def save_dataset(records: Sequence[ReactionRecord], path: str | Path) -> None:
@@ -320,21 +379,22 @@ def build_index(
     """Embed and deduplicate product sets into a corpus.
 
     Product sets with identical structural key multisets collapse into a
-    single entry under the first contributing id.  Keys come from the
-    command's molecule table (a new one when none is given).  The sets go
-    through ``EMBED_CHUNK`` at a time: each distinct string of a chunk is
-    parsed once, keyed from that parse and, when its set makes a new entry,
-    embedded from it; then the chunk's graphs are dropped.
+    single entry under the first contributing id.  Keys and rows come from
+    the command's molecule table (a new one when none is given), which
+    ``load_dataset`` fills when it checks the strings; a string the table
+    lacks is parsed once here, and that parse gives both.  The sets go
+    through ``EMBED_CHUNK`` at a time: a chunk's new entries are embedded
+    before the next chunk is read.
     """
     if not product_sets:
         raise EmptyCorpus("no product sets given")
     molecules = molecules or MoleculeTable()
+    molecules.use_encoder(weights, feature_cfg)
     firsts: dict[tuple[str, ...], tuple[str, tuple[str, ...]]] = {}
     blocks: list[np.ndarray] = []
     seen_ids: set[str] = set()
     pending = iter(product_sets)
     while chunk := list(itertools.islice(pending, EMBED_CHUNK)):
-        graphs: dict[str, list[MolecularGraph]] = {}
         new: list[tuple[str, tuple[str, ...]]] = []
         for set_id, smiles_list in chunk:
             if set_id in seen_ids:
@@ -344,30 +404,29 @@ def build_index(
                 raise DatasetError(f"product set {set_id!r} is empty")
             try:
                 for smiles in smiles_list:
-                    if smiles not in graphs:
-                        graphs[smiles] = molecules.parse(smiles)
+                    molecules.read(smiles, key=True, embed=True)
                 key = molecules.set_key(smiles_list)
             except SmilesError as exc:
                 raise _unparseable(set_id, exc) from exc
             if key not in firsts:
                 firsts[key] = (set_id, tuple(smiles_list))
                 new.append(firsts[key])
-        sides = [products for _, products in new]
         try:
-            blocks.append(embed_parsed(sides, graphs.__getitem__, weights, feature_cfg))
+            blocks.append(molecules.embed([products for _, products in new], weights, feature_cfg))
         except SmilesError:
             # an element outside the feature vocabulary: name its first set
             for set_id, products in new:
                 try:
-                    embed_parsed([products], graphs.__getitem__, weights, feature_cfg)
+                    molecules.embed([products], weights, feature_cfg)
                 except SmilesError as exc:
                     raise _unparseable(set_id, exc) from exc
             raise
-    entries = zip(firsts.items(), np.concatenate(blocks))
+    molecules.drop_rows()
+    entries = zip(firsts.items(), Embedding.rows(np.concatenate(blocks)))
     return ProductCorpus(
         entries=tuple(
-            CorpusEntry(set_id, products, Embedding(row), key)
-            for (key, (set_id, products)), row in entries
+            CorpusEntry(set_id, products, embedding, key)
+            for (key, (set_id, products)), embedding in entries
         ),
         fingerprint=weights.fingerprint(),
         molecules=molecules,
@@ -546,7 +605,9 @@ def load_index(path: str | Path, molecules: MoleculeTable | None = None) -> Prod
     molecule table (a new one when none is given).  Every product string
     is parsed; the table takes its keys from the ``keys_path`` file when
     that file holds them for these exact index bytes and ``KEY_VERSION``,
-    and keys the string itself otherwise."""
+    and keys the string itself otherwise.  Each entry's embedding is
+    type-checked in turn, and all of them are made into one float64 matrix
+    and checked for finite values at once."""
     molecules = molecules or MoleculeTable()
     document, digest = read_json_and_digest(path, DatasetError)
     payload = convert(document, dict, f"{path}: index", DatasetError)
@@ -555,32 +616,60 @@ def load_index(path: str | Path, molecules: MoleculeTable | None = None) -> Prod
     fingerprint = convert(payload["fingerprint"], str, f"{path}: fingerprint", DatasetError)
     raw_entries = convert(payload["entries"], list, f"{path}: entries", DatasetError)
     stored = _stored_keys(path, digest)
-    entries: dict[str, CorpusEntry] = {}
-    for idx, raw in enumerate(raw_entries):
-        where = f"{path}: entry {idx}"
-        if not isinstance(raw, dict) or set(raw) != {"id", "products", "embedding"}:
-            raise DatasetError(f"{where}: needs exactly id, products, embedding")
-        entry_id = convert(raw["id"], str, f"{where}: id", DatasetError)
-        if entry_id in entries:
-            raise DatasetError(f"{where}: duplicate entry id {entry_id!r}")
-        products = convert(raw["products"], tuple[str, ...], f"{where}: products", DatasetError)
-        if not products:
-            raise DatasetError(f"{where}: products must be a non-empty list")
-        try:
-            keys = molecules.set_key(products, stored)
-        except SmilesError as exc:
-            raise DatasetError(f"{where}: unparseable product SMILES: {exc}") from exc
-        values = convert(raw["embedding"], tuple[float, ...], f"{where}: embedding", DatasetError)
-        try:
-            embedding = Embedding(np.array(values, dtype=np.float64))
-        except (ValueError, OverflowError) as exc:  # non-finite, or an int past float range
-            raise DatasetError(f"{where}: embedding must be finite numbers: {exc}") from exc
-        entries[entry_id] = CorpusEntry(entry_id, products, embedding, keys)
+    entries: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+    vectors: list[list] = []
+    try:
+        for idx, raw in enumerate(raw_entries):
+            where = f"{path}: entry {idx}"
+            if not isinstance(raw, dict) or set(raw) != {"id", "products", "embedding"}:
+                raise DatasetError(f"{where}: needs exactly id, products, embedding")
+            entry_id = convert(raw["id"], str, f"{where}: id", DatasetError)
+            if entry_id in entries:
+                raise DatasetError(f"{where}: duplicate entry id {entry_id!r}")
+            products = convert(raw["products"], tuple[str, ...], f"{where}: products", DatasetError)
+            if not products:
+                raise DatasetError(f"{where}: products must be a non-empty list")
+            try:
+                keys = molecules.set_key(products, stored)
+            except SmilesError as exc:
+                raise DatasetError(f"{where}: unparseable product SMILES: {exc}") from exc
+            vector = raw["embedding"]
+            # JSON numbers only: convert names a true, a string or a list
+            if type(vector) is not list or not set(map(type, vector)) <= {float, int}:
+                convert(vector, tuple[float, ...], f"{where}: embedding", DatasetError)
+            vectors.append(vector)
+            entries[entry_id] = (products, keys)
+    except DatasetError:
+        _embeddings(path, vectors)  # a bad value in an earlier entry is named first
+        raise
     if not entries:
         raise EmptyCorpus(f"{path}: index has no entries")
+    embeddings = _embeddings(path, vectors)
     return ProductCorpus(
-        entries=tuple(entries.values()), fingerprint=fingerprint, molecules=molecules
+        entries=tuple(
+            CorpusEntry(entry_id, products, embedding, keys)
+            for (entry_id, (products, keys)), embedding in zip(entries.items(), embeddings)
+        ),
+        fingerprint=fingerprint,
+        molecules=molecules,
     )
+
+
+def _embeddings(path: str | Path, vectors: list[list]) -> list[Embedding]:
+    """The index entries' embeddings, made from one float64 matrix and
+    checked once; a ``DatasetError`` names the first entry with a
+    non-finite value or squared norm, or an int past float range."""
+    try:
+        return Embedding.rows(np.array(vectors, dtype=np.float64))
+    except (ValueError, OverflowError):  # a bad value, or lengths that differ
+        pass
+    embeddings = []
+    for idx, vector in enumerate(vectors):  # entry by entry, for the message
+        try:
+            embeddings.append(Embedding(np.array(vector, dtype=np.float64)))
+        except (ValueError, OverflowError) as exc:
+            raise DatasetError(f"{path}: entry {idx}: embedding must be finite numbers: {exc}") from exc
+    return embeddings  # of several lengths: ProductCorpus names them
 
 
 def _stored_keys(path: str | Path, digest: str) -> dict[str, tuple[str, ...]]:
@@ -683,10 +772,17 @@ class TrainingEmbeddings:
 
     @classmethod
     def embed(
-        cls, train: Sequence[ReactionRecord], weights: GnnWeights, feature_cfg: FeatureConfig
+        cls,
+        train: Sequence[ReactionRecord],
+        weights: GnnWeights,
+        feature_cfg: FeatureConfig,
+        molecules: MoleculeTable | None = None,
     ) -> TrainingEmbeddings:
-        """Embed each record's reactants, each distinct string once."""
-        return cls(train, embed_sides([r.reactants for r in train], weights, feature_cfg))
+        """Sum each record's reactant rows from the command's molecule table
+        (a new one when none is given), which embeds each distinct string
+        the table has no rows for once."""
+        molecules = molecules or MoleculeTable()
+        return cls(train, molecules.embed([r.reactants for r in train], weights, feature_cfg))
 
 
 @dataclass(eq=False)
@@ -695,9 +791,11 @@ class RetrievalState:
 
     The training set's embeddings are made on the first call of
     ``embeddings()``, so a command whose strategies show no examples never
-    makes them.  The same call keys the training products in the corpus's
-    molecule table (the command's), as the context walk reads an example's
-    product key for each record it examines.  Each k has one cache of
+    makes them.  They sum the reactant rows of the corpus's molecule table
+    (the command's), and the same call keys the training products there,
+    as the context walk reads an example's product key for each record it
+    examines; a command that read the training set with that work asked
+    of its check parses nothing here.  Each k has one cache of
     training records' candidate lists.  Both hold pure values, so
     pipelines and threads share them without a lock.
     """
@@ -711,10 +809,14 @@ class RetrievalState:
 
     def embeddings(self) -> TrainingEmbeddings:
         if self._embeddings is None:
-            self._embeddings = TrainingEmbeddings.embed(self.train, self.weights, self.feature_cfg)
-            if self.corpus.molecules is not None:
+            molecules = self.corpus.molecules
+            self._embeddings = TrainingEmbeddings.embed(
+                self.train, self.weights, self.feature_cfg, molecules
+            )
+            if molecules is not None:
+                molecules.drop_rows()
                 for record in self.train:
-                    self.corpus.molecules.set_key(record.products)
+                    molecules.set_key(record.products)
         return self._embeddings
 
     def candidate_cache(self, k: int) -> dict[int, CandidateList]:

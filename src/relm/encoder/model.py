@@ -85,6 +85,21 @@ class Embedding:
             if not np.isfinite(self.values @ self.values):
                 raise EmbeddingOverflow("embedding has a non-finite entry or squared norm")
 
+    @classmethod
+    def rows(cls, matrix: np.ndarray) -> list[Embedding]:
+        """One embedding per row of a 2-D float64 matrix, each a view of its
+        row; the check each row's own construction makes is made once, on
+        every row's squared norm (``np.vecdot`` sums a row as ``@`` does)."""
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.vecdot(matrix, matrix)).all():
+                raise EmbeddingOverflow("embedding has a non-finite entry or squared norm")
+        made = []
+        for row in matrix:
+            embedding = object.__new__(cls)
+            embedding.values = row
+            made.append(embedding)
+        return made
+
     @property
     def dim(self) -> int:
         return int(self.values.shape[0])

@@ -1,19 +1,38 @@
 """The stacked forward pass: every row bit-identical to the molecule's own pass.
 
 ``embed_molecules`` stacks same-size graphs and runs the layers once per
-atom count; ``embed_sides`` and ``build_index`` feed it ``EMBED_CHUNK``
-molecules at a time.  The one-molecule pass these rows are checked
+atom count; the molecule table feeds it ``EMBED_CHUNK`` molecules at a
+time, whether the dataset check, ``embed_sides`` or ``build_index`` asks
+for the rows.  The one-molecule pass these rows are checked
 against is ``node_states``: two-dimensional features through ``_forward``,
 summed over nodes.
 """
 
+import dataclasses
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import relm.corpus
 import relm.molecules
-from relm.corpus import DatasetError, build_index, parse_side
+from relm.corpus import (
+    DatasetError,
+    ReactionRecord,
+    RetrievalState,
+    build_index,
+    corpus_from_records,
+    load_dataset,
+    load_index,
+    parse_side,
+    save_dataset,
+    save_index,
+)
 from relm.encoder import (
     EncoderConfig,
     ShapeMismatch,
@@ -24,7 +43,7 @@ from relm.encoder import (
     random_init,
     tag_layer,
 )
-from relm.molecules import EMBED_CHUNK, embed_sides
+from relm.molecules import EMBED_CHUNK, MoleculeTable, embed_sides
 from relm.molgraph import (
     Atom,
     FeatureConfig,
@@ -33,7 +52,7 @@ from relm.molgraph import (
     serialize,
     stacked_features,
 )
-from relm.synthetic import random_molecule
+from relm.synthetic import random_molecule, synthetic_reactions
 
 from helpers import build_random_graph, reference_tag_layer
 
@@ -202,3 +221,63 @@ def test_build_index_names_the_set_with_an_element_the_features_lack():
     message = "product set 'b' has unparseable SMILES: element 'S' is outside the feature vocabulary"
     with pytest.raises(DatasetError, match=f"^{message}$"):
         build_index(sets, weights, narrow)
+
+
+def workspace_records(size, seed, extras):
+    """Synthetic reactions plus records made from them: a copy under a new
+    id, one whose sides join two records' strings with dots, and one whose
+    reactants are another record's products."""
+    base = synthetic_reactions(size, seed=seed)
+    records = list(base)
+    for i, (kind, a, b) in enumerate(extras):
+        first, second = base[a % size], base[b % size]
+        if kind == "copy":
+            records.append(dataclasses.replace(first, id=f"copy-{i}"))
+        elif kind == "dotted":
+            records.append(ReactionRecord(
+                id=f"dotted-{i}",
+                reactants=(".".join(first.reactants + second.reactants),),
+                products=(".".join(first.products), *second.products),
+            ))
+        else:
+            records.append(ReactionRecord(
+                id=f"chained-{i}", reactants=first.products, products=second.products
+            ))
+    return records
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    size=st.integers(1, 20),
+    seed=st.integers(0, 2**16 - 1),
+    extras=st.lists(
+        st.tuples(st.sampled_from(["copy", "dotted", "chained"]), st.integers(0, 99), st.integers(0, 99)),
+        max_size=8,
+    ),
+)
+def test_stored_rows_equal_embed_set_bit_for_bit(size, seed, extras):
+    # the rows the dataset check makes and the table keeps, read as
+    # build-index and evaluate read them, with a chunk of three molecules so
+    # that chunk edges fall inside sides and inside dotted strings
+    records = workspace_records(size, seed, extras)
+    weights = weights_for(embed_dim=8)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(relm.molecules, "EMBED_CHUNK", 3), \
+            mock.patch.object(relm.corpus, "EMBED_CHUNK", 3):
+        data, index = Path(tmp) / "train.jsonl", Path(tmp) / "index.json"
+        save_dataset(records, data)
+        table = MoleculeTable(weights, FEATURE_CFG)
+        loaded = load_dataset(data, table, key_products=True, embed="products")
+        corpus = corpus_from_records(loaded, weights, FEATURE_CFG, table)
+        save_index(corpus, index)
+        table = MoleculeTable(weights, FEATURE_CFG)
+        reread = load_index(index, table)
+        train = load_dataset(data, table, key_products=True, embed="reactants")
+        matrix = RetrievalState(reread, train, weights, FEATURE_CFG).embeddings().matrix
+    for built, read in zip(corpus.entries, reread.entries, strict=True):
+        want = embed_set(parse_side(built.products), weights, FEATURE_CFG).values
+        assert built.embedding.values.tobytes() == want.tobytes()
+        assert read.embedding.values.tobytes() == want.tobytes()
+    for record, row in zip(records, matrix, strict=True):
+        want = embed_set(parse_side(record.reactants), weights, FEATURE_CFG).values
+        assert row.tobytes() == want.tobytes()

@@ -9,6 +9,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -237,7 +238,7 @@ def test_inspect_prompt_prints_the_predict_dry_run(workspace, capsys):
 # ---- exit codes ----
 
 
-@pytest.mark.parametrize("stdout,code", [("buffered", 1), ("unbuffered", 1), ("absent", 0)])
+@pytest.mark.parametrize("stdout,code", [("buffered", 1), ("unbuffered", 1), ("absent", 1)])
 @pytest.mark.parametrize(
     "command",
     [["predict", "--reaction", "query.json"], ["evaluate", "--out-dir", "reports"]],
@@ -247,7 +248,7 @@ def test_closed_stdout_ends_quietly(workspace, tmp_path, command, stdout, code):
     # `relm evaluate ... | head -1`: the reader is gone before the command
     # writes, so its first write or its last flush meets a broken pipe and
     # it exits 1.  A process started with stdout closed has no stdout at all:
-    # its prints go nowhere and it exits 0
+    # its prints go nowhere, so it exits 1 too
     ws, _, _ = workspace
     name, *flags = command
     flags[-1] = str((ws if name == "predict" else tmp_path) / flags[-1])
@@ -1177,6 +1178,32 @@ def test_weights_that_overflow_the_encoder_exit_2(workspace, tmp_path, capsys, s
     assert not (tmp_path / "idx.json").exists()
 
 
+def test_an_error_the_dataset_check_meets_while_embedding_waits_for_the_index(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    # the check embeds the products, two molecules at a time here, with
+    # weights that overflow; that error is the index build's to raise, so
+    # an unparseable string on a later line is still the error reported
+    monkeypatch.setattr(relm.molecules, "EMBED_CHUNK", 2)
+    ws, base, _ = workspace
+    payload = json.loads((ws / "weights.npz").read_text())
+    for hops in payload["layers"]:
+        for hop in hops:
+            hop["data"] = [value * 1e200 for value in hop["data"]]
+    (tmp_path / "w.json").write_text(json.dumps(payload))
+    lines = (ws / "train.jsonl").read_text().splitlines()
+    bad = {"id": "bad", "reactants": ["CC"], "products": ["C(("]}
+    (tmp_path / "train.jsonl").write_text("\n".join([*lines, json.dumps(bad)]) + "\n")
+    cfg_path = write_config(
+        tmp_path / "cfg.json", base, weights=str(tmp_path / "w.json"),
+        dataset=str(tmp_path / "train.jsonl"),
+    )
+    code = main(["build-index", "--config", cfg_path, "--out", str(tmp_path / "idx.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"train.jsonl:{len(lines) + 1}: record 'bad' has unparseable SMILES" in err
+
+
 # 1e200 is finite, but its square, and so the entry's squared norm, is not
 @pytest.mark.parametrize("literal", ["true", '"1.5"', "1e400", "1e200"])
 def test_non_numeric_or_infinite_embedding_exits_2(workspace, tmp_path, capsys, literal):
@@ -1199,7 +1226,7 @@ def count_calls(monkeypatch, original):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -1311,6 +1338,58 @@ def test_evaluate_after_build_index_keys_only_products_no_entry_holds(tmp_path, 
     keys = count_calls(monkeypatch, relm.molgraph.canonical.canonical_key)
     assert main(["evaluate", "--config", cfg_path, "--out-dir", str(tmp_path / "reports")]) == 0
     assert len(keys) == sum(len(parse_smiles(s)) for s in others)
+
+
+@pytest.mark.parametrize("keys_file", [True, False], ids=["keys_file", "no_keys_file"])
+def test_build_index_and_evaluate_parse_each_string_once(tmp_path, monkeypatch, keys_file):
+    # one parse of a string, at the check, also keys and embeds it, so each
+    # command parses each distinct string of its inputs once before its
+    # first query.  The one exception: evaluate reads the index before the
+    # training set, so a string that is both an entry's product and a
+    # training reactant is parsed by the index check (for its key) and
+    # again by the dataset check (for its rows)
+    train = synthetic_reactions(16, seed=40) + [
+        ReactionRecord(id="same-0", reactants=("CC",), products=("CCO",)),
+        ReactionRecord(id="same-1", reactants=("CC",), products=("OCC",)),
+        ReactionRecord(id="same-2", reactants=("CCN",), products=("CC=O", "O")),
+        ReactionRecord(id="same-3", reactants=("CCN",), products=("O.CC=O",)),
+        ReactionRecord(id="both-0", reactants=("CC=O",), products=("CC(=O)O",)),
+        ReactionRecord(id="both-1", reactants=("CCCO", "O.CC=O"), products=("CCC=O",)),
+        ReactionRecord(id="both-2", reactants=("CCC=O",), products=("CCCO", "OCC")),
+    ]
+    weights = random_init(
+        EncoderConfig(feature_dim=FEATURE_CFG.feature_dim, embed_dim=8), seed=1
+    )
+    save_dataset(train, tmp_path / "train.jsonl")
+    save_weights(weights, tmp_path / "w.json")
+    index = tmp_path / "index.json"
+    cfg_path = write_config(tmp_path / "cfg.json", {
+        "weights": str(tmp_path / "w.json"), "index": str(index),
+        "dataset": str(tmp_path / "train.jsonl"), "backend": {"kind": "oracle"},
+        "strategy": "css", "k": 4, "n": 3,
+    })
+    parses, _ = _parse_and_key_calls(monkeypatch)
+    at_first_query = []
+    real_run = relm.cli.run_dataset
+
+    def run_dataset(*args, **kwargs):
+        if not at_first_query:
+            at_first_query.append(Counter(smiles for smiles, in parses))
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(relm.cli, "run_dataset", run_dataset)
+    distinct = {s for r in train for s in (*r.reactants, *r.products)}
+    assert main(["build-index", "--config", cfg_path, "--out", str(index)]) == 0
+    assert Counter(smiles for smiles, in parses) == dict.fromkeys(distinct, 1)
+    if not keys_file:
+        keys_path(index).unlink()
+    parses.clear()
+    code = main(["evaluate", "--config", cfg_path, "--k", "2..4", "--out-dir", str(tmp_path / "r")])
+    assert code == 0
+    entry_strings = {s for e in json.loads(index.read_text())["entries"] for s in e["products"]}
+    twice = entry_strings & {s for r in train for s in r.reactants}
+    assert {"CC=O", "CCC=O", "CCCO"} <= twice
+    assert at_first_query == [{s: 2 if s in twice else 1 for s in distinct}]
 
 
 def test_train_toy_keys_nothing_before_its_first_epoch(workspace, tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
 """Dataset IO, the product index, and nearest-neighbor retrieval."""
 
+import gc
 import hashlib
 import json
 import sys
 import tempfile
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -623,18 +625,48 @@ def test_table_parses_each_distinct_string_once(tmp_path, monkeypatch):
     monkeypatch.setattr(
         molecules_module, "parse_smiles", lambda smiles: calls.append(smiles) or real(smiles)
     )
-    table = MoleculeTable()
-    load_dataset(tmp_path / "data.jsonl", table)
+    table = MoleculeTable(weights, FEATURE_CFG)
+    loaded = load_dataset(tmp_path / "data.jsonl", table, key_products=True, embed="reactants")
     distinct = {s for r in records for s in r.reactants + r.products}
     assert sorted(calls) == sorted(distinct)
     calls.clear()
+    # the check's one parse keyed the products and embedded the reactants
     for record in records:
         table.set_key(record.products)
+        table.set_key(record.products)
+    TrainingEmbeddings.embed(loaded, weights, FEATURE_CFG, table)
+    assert calls == []
+    # a load that asks for no work keeps nothing: keying parses again
+    table = MoleculeTable()
+    load_dataset(tmp_path / "data.jsonl", table)
+    calls.clear()
+    for record in records:
         table.set_key(record.products)
     assert sorted(calls) == sorted({s for r in records for s in r.products})
     calls.clear()
     embed_sides([r.reactants for r in records], weights, FEATURE_CFG)
     assert sorted(calls) == sorted({s for r in records for s in r.reactants})
+
+
+@pytest.mark.parametrize("embed", ["reactants", "products"])
+def test_no_parsed_graph_outlives_the_dataset_check(tmp_path, monkeypatch, embed):
+    # the check embeds the graphs it queues a chunk at a time, the last
+    # chunk before it returns: the table keeps keys and rows, no graph
+    records = synthetic_reactions(40, seed=11) + hand_made_records()
+    save_dataset(records, tmp_path / "data.jsonl")
+    parsed = []
+    real = molecules_module.parse_smiles
+
+    def parse(smiles):
+        graphs = real(smiles)
+        parsed.extend(weakref.ref(graph) for graph in graphs)
+        return graphs
+
+    monkeypatch.setattr(molecules_module, "parse_smiles", parse)
+    table = MoleculeTable(make_weights(seed=9), FEATURE_CFG)
+    load_dataset(tmp_path / "data.jsonl", table, key_products=True, embed=embed)
+    gc.collect()
+    assert parsed and [ref for ref in parsed if ref() is not None] == []
 
 
 def test_table_shared_by_threads_gives_what_a_serial_table_gives():

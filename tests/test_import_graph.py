@@ -53,3 +53,26 @@ def test_runtime_imports_are_stdlib_or_numpy(path):
 def test_every_module_is_checked():
     assert PACKAGE / "lmclient.py" in SOURCES
     assert PACKAGE / "prompt" / "render.py" in SOURCES
+
+
+# the modules that may call the SMILES parser: the molgraph package that
+# defines it; the molecule table, through which every reader of a command's
+# inputs parses, so that one parse of a string does all its work; and the
+# paths that parse records made in code (``corpus.parse_side``, and
+# training's per-occurrence batch)
+PARSER_USERS = {"molecules.py", "corpus.py", "encoder/training.py"}
+
+
+def test_only_the_molecule_table_and_code_made_records_parse():
+    users = set()
+    for path in SOURCES:
+        name = str(path.relative_to(PACKAGE))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            imported = isinstance(node, ast.ImportFrom) and any(
+                alias.name == "parse_smiles" for alias in node.names
+            )
+            if imported or (isinstance(node, ast.Attribute) and node.attr == "parse_smiles"):
+                users.add(name)
+    outside = {name for name in users if not name.startswith("molgraph/")}
+    assert outside <= PARSER_USERS, f"parse_smiles used outside the table: {outside - PARSER_USERS}"
+    assert "molecules.py" in outside

@@ -69,12 +69,6 @@ class MoleculeTable:
         self._pending: dict[str, list[MolecularGraph]] = {}  # parsed, to be embedded
         self._pending_graphs = 0
 
-    def check(self, side: Sequence[str]) -> None:
-        """Raise ``SmilesError`` for the first string of side that does not
-        parse; a string the table holds parsed already."""
-        for smiles in side:
-            self.read(smiles)
-
     def read(self, smiles: str, *, key: bool = False, embed: bool = False) -> None:
         """Parse smiles, unless the table holds what is asked: with key its
         keys, with embed its rows (when the table has an encoder; queued
@@ -177,11 +171,3 @@ class MoleculeTable:
             self._rows[smiles] = range(start, start + len(string_graphs))
             start += len(string_graphs)
         self._blocks.append(block)
-
-
-def embed_sides(
-    sides: Sequence[Sequence[str]], weights: GnnWeights, feature_cfg: FeatureConfig
-) -> np.ndarray:
-    """One embedding per side, as a matrix, from a new table: each distinct
-    string is parsed and embedded once."""
-    return MoleculeTable().embed(sides, weights, feature_cfg)

@@ -2,9 +2,9 @@
 
 ``embed_molecules`` stacks same-size graphs and runs the layers once per
 atom count; the molecule table feeds it ``EMBED_CHUNK`` molecules at a
-time, whether the dataset check, ``embed_sides`` or ``build_index`` asks
-for the rows.  The one-molecule pass these rows are checked
-against is ``node_states``: two-dimensional features through ``_forward``,
+time, whether the dataset check, ``MoleculeTable.embed`` or ``build_index``
+asks for the rows.  The one-molecule pass these rows are checked against is
+``node_states``: two-dimensional features through ``_forward``,
 summed over nodes.
 """
 
@@ -43,7 +43,7 @@ from relm.encoder import (
     random_init,
     tag_layer,
 )
-from relm.molecules import EMBED_CHUNK, MoleculeTable, embed_sides
+from relm.molecules import EMBED_CHUNK, MoleculeTable
 from relm.molgraph import (
     Atom,
     FeatureConfig,
@@ -109,7 +109,10 @@ def test_single_atom_graphs_take_the_vector_product_path():
     assert_rows_match(graphs, weights)
 
 
-@pytest.mark.parametrize("batch", [1, 2, EMBED_CHUNK - 1, EMBED_CHUNK, EMBED_CHUNK + 1])
+# the chunk's edges, and stacks past it: embed_set stacks a whole side
+@pytest.mark.parametrize(
+    "batch", sorted({1, 2, EMBED_CHUNK - 1, EMBED_CHUNK, EMBED_CHUNK + 1, 1023, 1024, 1025})
+)
 def test_stack_sizes_match(batch):
     assert_rows_match(graphs_of_size(7, batch, seed=batch), weights_for())
 
@@ -192,7 +195,7 @@ def test_embed_sides_equals_embed_set_across_chunks(monkeypatch):
     monkeypatch.setattr(
         relm.molecules, "embed_molecules", lambda graphs, *a: batches.append(len(graphs)) or real(graphs, *a)
     )
-    rows = embed_sides(sides, weights, FEATURE_CFG)
+    rows = MoleculeTable().embed(sides, weights, FEATURE_CFG)
     # each distinct string's fragments embedded once, at most a chunk (plus
     # the fragments of the string that filled it) at a time
     assert sum(batches) == sum(distinct.values())

@@ -45,7 +45,7 @@ from relm.corpus import (
     top_k_candidates,
 )
 from relm.encoder import Embedding, EncoderConfig, GnnWeights, embed_set, random_init
-from relm.molecules import MoleculeTable, embed_sides
+from relm.molecules import MoleculeTable
 from relm.molgraph import KEY_VERSION, FeatureConfig, SmilesError, parse_smiles
 from relm.synthetic import synthetic_reactions
 
@@ -542,7 +542,7 @@ def test_an_intact_keys_file_still_parses_every_product(tmp_path):
     with pytest.raises(DatasetError, match="entry 0: unparseable product SMILES"):
         load_index(path, table)
     with pytest.raises(SmilesError):  # the failed string was not remembered as parsing
-        table.check(["C(("])
+        table.read("C((")
 
 
 @settings(max_examples=20, deadline=None)
@@ -597,7 +597,7 @@ def test_table_keys_and_embeddings_equal_parsing_each_side(tmp_path, make_record
         assert record.product_key() == molecules_key(parse_side(record.products))
         assert table.set_key(record.reactants) == molecules_key(parse_side(record.reactants))
     embedded = TrainingEmbeddings.embed(loaded, weights, FEATURE_CFG)
-    products = embed_sides([r.products for r in loaded], weights, FEATURE_CFG)
+    products = MoleculeTable().embed([r.products for r in loaded], weights, FEATURE_CFG)
     for reactants, product_row, record in zip(embedded.matrix, products, loaded):
         want = embed_set(parse_side(record.reactants), weights, FEATURE_CFG).values
         assert bits(reactants) == bits(want)
@@ -644,7 +644,7 @@ def test_table_parses_each_distinct_string_once(tmp_path, monkeypatch):
         table.set_key(record.products)
     assert sorted(calls) == sorted({s for r in records for s in r.products})
     calls.clear()
-    embed_sides([r.reactants for r in records], weights, FEATURE_CFG)
+    MoleculeTable().embed([r.reactants for r in records], weights, FEATURE_CFG)
     assert sorted(calls) == sorted({s for r in records for s in r.reactants})
 
 
@@ -681,7 +681,8 @@ def test_table_shared_by_threads_gives_what_a_serial_table_gives():
     def work(order):
         keys = []
         for i in order:
-            shared.check(sides[i])
+            for smiles in sides[i]:
+                shared.read(smiles)
             keys.append(shared.set_key(sides[i]))
         return keys
 
